@@ -124,6 +124,22 @@ def _bernoulli_parity(s: complex) -> str | None:
     return None
 
 
+def _bernoulli_scale(order: int) -> float:
+    """(-1)^(order//2 + 1) (2pi)^order / (2 order!), the factor in front of
+    B_order(x / 2pi) in the closed forms of clausen_bernoulli."""
+    return (-1.0) ** (order // 2 + 1) * TWO_PI**order / (2.0 * math.factorial(order))
+
+
+def _bernoulli_weight(order: int):
+    """t -> S_order(2 pi t) for odd order, C_order(2 pi t) for even order."""
+    scale = _bernoulli_scale(order)
+
+    def weight(t):
+        return scale * bernoulli_poly(order, t)
+
+    return weight
+
+
 def clausen_bernoulli(channel: str, order: int, x: float) -> float:
     """Closed form for S_order (channel 'sin', odd order) or C_order ('cos', even).
 
@@ -137,22 +153,17 @@ def clausen_bernoulli(channel: str, order: int, x: float) -> float:
         raise DomainError("order must be >= 1")
     if not 0.0 <= x <= TWO_PI:
         raise DomainError(f"x={x:g} outside [0, 2*pi]")
-    u = x / TWO_PI
     if channel == "sin":
         if order % 2 == 0:
             raise DomainError("sin channel has a Bernoulli form only for odd order")
         if order == 1 and (x == 0.0 or x == TWO_PI):
             raise DomainError("S_1 closed form requires 0 < x < 2*pi")
-        n = (order + 1) // 2
-        scale = (-1.0) ** n * TWO_PI ** (2 * n - 1) / (2.0 * math.factorial(2 * n - 1))
-        return scale * bernoulli_poly(2 * n - 1, u)
-    if channel == "cos":
+    elif channel == "cos":
         if order % 2 == 1:
             raise DomainError("cos channel has a Bernoulli form only for even order")
-        n = order // 2
-        scale = (-1.0) ** (n - 1) * TWO_PI ** (2 * n) / (2.0 * math.factorial(2 * n))
-        return scale * bernoulli_poly(2 * n, u)
-    raise ValueError(f"unknown channel {channel!r}")
+    else:
+        raise ValueError(f"unknown channel {channel!r}")
+    return _bernoulli_weight(order)(x / TWO_PI)
 
 
 def clausen_direct(s, x: float, tol: float = 1e-12, use_bernoulli: bool = True) -> ClausenValue:

@@ -31,19 +31,6 @@ EXIT_ORACLE_FAIL = 1
 EXIT_DOMAIN = 2
 EXIT_NO_CONVERGENCE = 3
 
-_THEOREM_REPS = {
-    RepresentationTag.THEOREM_6A,
-    RepresentationTag.THEOREM_6B,
-    RepresentationTag.THEOREM_6C,
-}
-_DISC_REPS = _THEOREM_REPS | {
-    RepresentationTag.SERIES,
-    RepresentationTag.CLASSICAL_LOG,
-    RepresentationTag.BERNOULLI_7A,
-    RepresentationTag.BERNOULLI_7B,
-    RepresentationTag.BERNOULLI_7C,
-}
-
 
 def parse_complex(text: str) -> complex:
     """Parse 'a', 'ai', 'a+bi' (no spaces); 'j' is accepted as a synonym."""
@@ -85,24 +72,16 @@ def cmd_eval(args) -> int:
     else:
         reps = [RepresentationTag(args.rep)]
     rows = []
+    # li_eval owns every route's domain rules; --rep all keeps the routes
+    # that accept (s, z).
     for rep in reps:
-        if rep in _THEOREM_REPS and complex(s).real <= 1.0:
-            if args.rep == "all":
-                continue
-            raise DomainError(f"{rep.value} requires Re s > 1, got s = {format_complex(s)}")
-        if rep in _DISC_REPS and abs(z) >= 1.0:
-            if args.rep == "all":
-                continue
-            raise DomainError(f"{rep.value} requires |z| < 1, got |z| = {abs(z):g}")
         try:
-            res = li_eval(
-                PolylogRequest(s=s, z=z, representation=rep, delta=args.delta, tol=args.tol)
+            rows.append(
+                li_eval(PolylogRequest(s=s, z=z, representation=rep, delta=args.delta, tol=args.tol))
             )
         except LirepError:
-            if args.rep == "all":
-                continue
-            raise
-        rows.append(res)
+            if args.rep != "all":
+                raise
     if not rows:
         raise DomainError("no applicable representation for this (s, z)")
     all_converged = all(r.converged for r in rows)
@@ -204,16 +183,16 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_zeta_odd(args) -> int:
     n = args.n
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    reference = riemann_zeta(2 * n + 1).real
     rows = []
     all_converged = True
     for kind in ("cot", "tan"):
         for delta in (1.0, 0.5):
             value, quad = _zeta_odd(kind, n, delta, args.tol)
             all_converged = all_converged and quad.converged
-            rows.append((kind, delta, value, abs(value - reference)))
+            rows.append((kind, delta, value))
+    # after the rows, so that _zeta_odd is the one to reject n < 1
+    reference = riemann_zeta(2 * n + 1).real
+    rows = [(k, d, v, abs(v - reference)) for (k, d, v) in rows]
     if args.format == "json":
         print(
             json.dumps(
@@ -244,6 +223,8 @@ _LEMMA_GRID_ANGLES = (0.0, math.pi / 3.0, math.pi / 2.0)
 
 
 def cmd_lemma_check(args) -> int:
+    if args.n_max < 1:
+        raise DomainError(f"--n-max must be >= 1, got {args.n_max}")
     if args.z is not None:
         zs = [parse_complex(args.z)]
     else:

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .bernoulli import bernoulli_poly
-from .clausen import TWO_PI, _bernoulli_parity, _pair_cheapest
+from .clausen import TWO_PI, _bernoulli_parity, _bernoulli_scale, _bernoulli_weight, _pair_cheapest
 from .errors import (
     DomainError,
     ResourceLimitError,
@@ -60,6 +60,8 @@ class PolylogRequest:
     tol: float = 1e-10
 
     def __post_init__(self):
+        if not (cmath.isfinite(complex(self.s)) and cmath.isfinite(complex(self.z))):
+            raise DomainError(f"s and z must be finite, got s = {self.s}, z = {self.z}")
         if self.delta not in (1.0, 0.5):
             raise DomainError("delta must be 1 or 1/2")
         if not self.tol > 0.0:
@@ -80,7 +82,7 @@ class PolylogResult:
 
 def _check_disc(z: complex) -> None:
     if abs(z) >= 1.0:
-        raise DomainError(f"|z| = {abs(z):g} is outside the open unit disc")
+        raise DomainError(f"this representation requires |z| < 1, got |z| = {abs(z):g}")
 
 
 def kernel(kind: KernelKind, z, t):
@@ -88,19 +90,20 @@ def kernel(kind: KernelKind, z, t):
     D = 1 - 2 z cos(2 pi t) + z^2 (nonzero throughout |z| < 1).
 
     SIN: 2 z sin(2 pi t) / D; COS: (1 - z^2) / D; ALT: 2 z (cos(2 pi t) - z) / D.
-    COS = 1 + ALT identically.
+    COS = 1 + ALT identically, and COS is computed that way: dividing
+    (1 - z^2) and 2 z (cos - z) by D separately lets the rounding of D,
+    which cancels near the unit circle, break the identity by ~10 ulp.
     """
     z = complex(z)
     _check_disc(z)
     ct = np.cos(TWO_PI * np.asarray(t, dtype=float))
     D = 1.0 - 2.0 * z * ct + z * z
     if kind is KernelKind.SIN:
-        num = 2.0 * z * np.sin(TWO_PI * np.asarray(t, dtype=float))
-    elif kind is KernelKind.COS:
-        num = 1.0 - z * z
+        out = 2.0 * z * np.sin(TWO_PI * np.asarray(t, dtype=float)) / D
     else:
-        num = 2.0 * z * (ct - z)
-    out = num / D
+        out = 2.0 * z * (ct - z) / D
+        if kind is KernelKind.COS:
+            out = 1.0 + out
     if np.ndim(t) == 0:
         return complex(out)
     return out
@@ -155,26 +158,6 @@ def _peak_breakpoints(z: complex, delta: float) -> tuple[float, ...]:
     return tuple(p for p in (tstar, 1.0 - tstar) if 0.0 < p < delta)
 
 
-def _bernoulli_sin_weight(order: int):
-    n = (order + 1) // 2
-    scale = (-1.0) ** n * TWO_PI ** (2 * n - 1) / (2.0 * math.factorial(2 * n - 1))
-
-    def weight(t):
-        return scale * bernoulli_poly(2 * n - 1, t)
-
-    return weight
-
-
-def _bernoulli_cos_weight(order: int):
-    n = order // 2
-    scale = (-1.0) ** (n - 1) * TWO_PI ** (2 * n) / (2.0 * math.factorial(2 * n))
-
-    def weight(t):
-        return scale * bernoulli_poly(2 * n, t)
-
-    return weight
-
-
 def _kernel_l1_bound(kind: KernelKind, z: complex) -> float:
     """Bound on int_0^1 |kernel| dt.
 
@@ -215,11 +198,7 @@ def _theorem_route(
         raise DomainError(f"this representation requires Re s > 1, got s = {s}")
     wtol = tol / 10.0
     if closed_form:
-        weight = (
-            _bernoulli_sin_weight(int(s.real))
-            if channel == "sin"
-            else _bernoulli_cos_weight(int(s.real))
-        )
+        weight = _bernoulli_weight(int(s.real))
         weight_err = 0.0
     else:
         cache = _node_cache(s, wtol)
@@ -411,12 +390,7 @@ def _zeta_odd(kind: str, n: int, delta: float, tol: float) -> tuple[float, Quadr
         raise DomainError("n must be >= 1")
     if delta not in (1.0, 0.5):
         raise DomainError("delta must be 1 or 1/2")
-    pref = (
-        (-1.0) ** (n - 1)
-        / delta
-        * TWO_PI ** (2 * n + 1)
-        / (2.0 * math.factorial(2 * n + 1))
-    )
+    pref = _bernoulli_scale(2 * n + 1) / delta
     if kind == "tan":
         pref *= 4.0**n / (4.0**n - 1.0)
     f = integrand_with_limits(kind, n)
@@ -558,15 +532,28 @@ def _auto_route(s: complex, z: complex) -> RepresentationTag:
     raise UnsupportedCombinationError("evaluation on |z| = 1 is not supported")
 
 
+_THEOREM_TAGS = (
+    RepresentationTag.THEOREM_6A,
+    RepresentationTag.THEOREM_6B,
+    RepresentationTag.THEOREM_6C,
+)
+
+
 def li_eval(req: PolylogRequest) -> PolylogResult:
     """Evaluate Li_s(z) by the requested representation, or pick one:
     series inside |z| <= 0.5, the classical integral on 0.5 < |z| < 1,
-    and integer-order inversion outside the disc."""
+    and integer-order inversion outside the disc.
+
+    A forced route is held to its hypothesis here: Re s > 1 for the
+    theorem routes, a positive integer order of matching parity for the
+    Bernoulli routes; the routes themselves check |z| < 1."""
     s = complex(req.s)
     z = complex(req.z)
     tag = req.representation
     if tag is RepresentationTag.AUTO:
         tag = _auto_route(s, z)
+    if tag in _THEOREM_TAGS and s.real <= 1.0:
+        raise DomainError(f"{tag.value} requires Re s > 1, got s = {s}")
     if tag is RepresentationTag.SERIES:
         return li_series(s, z, req.tol)
     if tag is RepresentationTag.CLASSICAL_EXP:
@@ -580,11 +567,11 @@ def li_eval(req: PolylogRequest) -> PolylogResult:
     if tag is RepresentationTag.THEOREM_6C:
         return li_theorem_cos(s, z, req.delta, "alt", req.tol)
     if tag is RepresentationTag.BERNOULLI_7A:
-        if not (_is_nonneg_integer(s) and s.real >= 1.0 and int(s.real) % 2 == 1):
+        if _bernoulli_parity(s) != "sin":
             raise UnsupportedCombinationError("this route needs odd integer order")
         return li_bernoulli_odd((int(s.real) + 1) // 2, z, req.delta, req.tol)
     if tag in (RepresentationTag.BERNOULLI_7B, RepresentationTag.BERNOULLI_7C):
-        if not (_is_nonneg_integer(s) and s.real >= 2.0 and int(s.real) % 2 == 0):
+        if _bernoulli_parity(s) != "cos":
             raise UnsupportedCombinationError("this route needs even integer order")
         variant = "cos" if tag is RepresentationTag.BERNOULLI_7B else "alt"
         return li_bernoulli_even(int(s.real) // 2, z, req.delta, variant, req.tol)

@@ -98,11 +98,15 @@ def riemann_zeta(s) -> complex:
     )
 
 
-def hurwitz_zeta(s, a, correction_terms: int = 12) -> complex:
+#: Bernoulli corrections in the Euler-Maclaurin tail of hurwitz_zeta.
+_HURWITZ_CORRECTIONS = 12
+
+
+def hurwitz_zeta(s, a) -> complex:
     """Hurwitz zeta sum_{k>=0} (k+a)^{-s}, continued past Re s <= 1.
 
     Euler-Maclaurin: partial sum to a shift N, then the integral term,
-    the half term, and `correction_terms` Bernoulli corrections. Requires
+    the half term, and _HURWITZ_CORRECTIONS Bernoulli corrections. Requires
     Re a > 0; accuracy on the supported region is ~1e-11 relative or
     better (the most cancellation-prone cases are Re s < 0 with small a).
     """
@@ -127,7 +131,7 @@ def hurwitz_zeta(s, a, correction_terms: int = 12) -> complex:
     rising = s  # s(s+1)...(s+2j-2), grown two factors per correction
     winv = 1.0 / w
     wpow = w ** (-s) * winv
-    for j in range(1, correction_terms + 1):
+    for j in range(1, _HURWITZ_CORRECTIONS + 1):
         terms.append(
             float(bernoulli_number(2 * j)) / math.factorial(2 * j) * rising * wpow
         )

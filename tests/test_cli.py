@@ -197,6 +197,14 @@ class TestLemmaCheck:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
 
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_empty_order_range_rejected(self, capsys, n_max):
+        code = main(["lemma-check", f"--n-max={n_max}", "--z", "0.5", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--n-max must be >= 1" in captured.err
+
     def test_injected_sign_flip_detected(self, capsys, monkeypatch):
         import lirep.polylog as pl
 
