@@ -17,7 +17,7 @@ import numpy as np
 
 from .bernoulli import bernoulli_poly
 from .errors import DomainError, ExclusionError, ResourceLimitError
-from .special import gamma_complex, hurwitz_zeta, riemann_zeta
+from .special import _is_real_integer, gamma_complex, hurwitz_zeta, riemann_zeta
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,14 +114,9 @@ def _pair_cheapest(s: complex, x: float, tol: float) -> tuple[complex, complex]:
 
 def _bernoulli_parity(s: complex) -> str | None:
     """'sin' / 'cos' when s is a real integer whose parity admits a closed form."""
-    if s.imag != 0.0 or s.real != math.floor(s.real):
+    if not _is_real_integer(s) or s.real < 1.0:
         return None
-    n = int(s.real)
-    if n >= 1 and n % 2 == 1:
-        return "sin"
-    if n >= 2 and n % 2 == 0:
-        return "cos"
-    return None
+    return "sin" if int(s.real) % 2 == 1 else "cos"
 
 
 def _bernoulli_scale(order: int) -> float:
@@ -177,24 +172,19 @@ def clausen_direct(s, x: float, tol: float = 1e-12, use_bernoulli: bool = True) 
     s = complex(s)
     if s.real <= 1.0:
         raise DomainError(f"clausen_direct requires Re s > 1, got {s}")
-    parity = _bernoulli_parity(s) if use_bernoulli else None
-    sin_part: complex
-    cos_part: complex
-    if parity is not None:
-        xr = x % TWO_PI
-        order = int(s.real)
-        if parity == "sin":
-            sin_part = complex(clausen_bernoulli("sin", order, xr))
-            cos_part = _series_pair(s, x, tol)[1]
-        else:
-            cos_part = complex(clausen_bernoulli("cos", order, xr))
-            sin_part = _series_pair(s, x, tol)[0]
-    elif use_bernoulli:
-        sin_part, cos_part = _pair_cheapest(s, x, tol)
-    else:
+    if not use_bernoulli:
         # explicit raw-series request (cross-check paths must not be
         # silently rerouted through the reflection)
         sin_part, cos_part = _series_pair(s, x, tol)
+    else:
+        # at integer orders >= 2 the reflection is excluded, so the
+        # cheapest pair is the series there
+        sin_part, cos_part = _pair_cheapest(s, x, tol)
+        parity = _bernoulli_parity(s)
+        if parity == "sin":
+            sin_part = complex(clausen_bernoulli("sin", int(s.real), x % TWO_PI))
+        elif parity == "cos":
+            cos_part = complex(clausen_bernoulli("cos", int(s.real), x % TWO_PI))
     return ClausenValue(sin_part=sin_part, cos_part=cos_part, s=s, x=x)
 
 

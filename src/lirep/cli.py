@@ -18,6 +18,7 @@ from .polylog import (
     KernelKind,
     PolylogRequest,
     RepresentationTag,
+    _check_disc,
     _zeta_odd,
     lemma_expected,
     lemma_integral,
@@ -120,15 +121,14 @@ def cmd_crosscheck(args) -> int:
     s_values = _parse_complex_list(args.s_list)
     if not radii or args.angles < 1 or not s_values:
         raise DomainError("empty grid")
-    bad = [r for r in radii if r >= 1.0]
-    if bad:
-        raise DomainError(f"radii {bad} violate |z| < 1 required by the disc routes")
     routes = [RepresentationTag(name) for name in args.routes.split(",") if name]
     grid = [
         r * cmath.exp(2j * math.pi * k / args.angles)
         for r in radii
         for k in range(args.angles)
     ]
+    for z in grid:
+        _check_disc(z)
     rows = []
     max_dev = 0.0
     all_converged = True

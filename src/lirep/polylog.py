@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .quadrature import QuadratureResult, integrate_adaptive, integrand_with_limits
-from .special import gamma_complex
+from .special import _is_real_integer, gamma_complex
 
 SERIES_TERM_CAP = 1 << 23
 
@@ -173,15 +173,37 @@ def _kernel_l1_bound(kind: KernelKind, z: complex) -> float:
     return abs(1.0 - z * z) * inv + 1.0
 
 
-def _theorem_route(
-    s,
-    z,
-    delta: float,
-    tol: float,
-    kind: KernelKind,
-    tag: RepresentationTag,
-    use_bernoulli: bool,
-) -> PolylogResult:
+#: Kernel tag -> (kernel, whether the route takes only the closed Bernoulli weight).
+_KERNEL_ROUTES = {
+    RepresentationTag.THEOREM_6A: (KernelKind.SIN, False),
+    RepresentationTag.THEOREM_6B: (KernelKind.COS, False),
+    RepresentationTag.THEOREM_6C: (KernelKind.ALT, False),
+    RepresentationTag.BERNOULLI_7A: (KernelKind.SIN, True),
+    RepresentationTag.BERNOULLI_7B: (KernelKind.COS, True),
+    RepresentationTag.BERNOULLI_7C: (KernelKind.ALT, True),
+}
+
+#: The Clausen channel whose weight each kernel pairs with.
+_KERNEL_CHANNEL = {KernelKind.SIN: "sin", KernelKind.COS: "cos", KernelKind.ALT: "cos"}
+
+
+#: (variant, Bernoulli route) -> tag of the C_s routes, COS ('cos') or ALT ('alt') kernel.
+_VARIANT_TAGS = {
+    ("cos", False): RepresentationTag.THEOREM_6B,
+    ("alt", False): RepresentationTag.THEOREM_6C,
+    ("cos", True): RepresentationTag.BERNOULLI_7B,
+    ("alt", True): RepresentationTag.BERNOULLI_7C,
+}
+
+
+def _variant_tag(variant: str, bernoulli: bool) -> RepresentationTag:
+    try:
+        return _VARIANT_TAGS[variant, bernoulli]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant!r}") from None
+
+
+def _theorem_route(s, z, delta: float, tol: float, tag: RepresentationTag, use_bernoulli: bool = True) -> PolylogResult:
     s = complex(s)
     z = complex(z)
     _check_disc(z)
@@ -191,9 +213,9 @@ def _theorem_route(
         # SIN/ALT kernels vanish identically; the COS kernel reduces to 1,
         # whose weight integral vanishes by the mean-value property.
         return PolylogResult(0.0 + 0.0j, 0.0, tag)
-    channel = "sin" if kind is KernelKind.SIN else "cos"
-    parity = _bernoulli_parity(s)
-    closed_form = use_bernoulli and parity == channel
+    kind = _KERNEL_ROUTES[tag][0]
+    channel = _KERNEL_CHANNEL[kind]
+    closed_form = use_bernoulli and _bernoulli_parity(s) == channel
     if s.real <= 1.0 and not closed_form:
         raise DomainError(f"this representation requires Re s > 1, got s = {s}")
     wtol = tol / 10.0
@@ -234,42 +256,27 @@ def li_theorem_sin(s, z, delta: float = 1.0, tol: float = 1e-10, use_bernoulli: 
     polynomial (including s = 1, where the series weight is unavailable);
     use_bernoulli=False forces the truncated-series weight instead.
     """
-    return _theorem_route(s, z, delta, tol, KernelKind.SIN, RepresentationTag.THEOREM_6A, use_bernoulli)
+    return _theorem_route(s, z, delta, tol, RepresentationTag.THEOREM_6A, use_bernoulli)
 
 
 def li_theorem_cos(s, z, delta: float = 1.0, variant: str = "cos", tol: float = 1e-10, use_bernoulli: bool = True) -> PolylogResult:
     """Li_s(z) from the C_s weight against the COS kernel (variant 'cos')
     or the ALT kernel (variant 'alt'); the two differ by int C_s = 0."""
-    if variant == "cos":
-        kind, tag = KernelKind.COS, RepresentationTag.THEOREM_6B
-    elif variant == "alt":
-        kind, tag = KernelKind.ALT, RepresentationTag.THEOREM_6C
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return _theorem_route(s, z, delta, tol, kind, tag, use_bernoulli)
+    return _theorem_route(s, z, delta, tol, _variant_tag(variant, False), use_bernoulli)
 
 
 def li_bernoulli_odd(n: int, z, delta: float = 1.0, tol: float = 1e-10) -> PolylogResult:
     """Li_{2n-1}(z) with the exact B_{2n-1} weight against the SIN kernel."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    res = _theorem_route(
-        complex(2 * n - 1), z, delta, tol, KernelKind.SIN, RepresentationTag.BERNOULLI_7A, True
-    )
-    return res
+    return _theorem_route(2 * n - 1, z, delta, tol, RepresentationTag.BERNOULLI_7A)
 
 
 def li_bernoulli_even(n: int, z, delta: float = 1.0, variant: str = "cos", tol: float = 1e-10) -> PolylogResult:
     """Li_{2n}(z) with the exact B_{2n} weight against the COS or ALT kernel."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    if variant == "cos":
-        kind, tag = KernelKind.COS, RepresentationTag.BERNOULLI_7B
-    elif variant == "alt":
-        kind, tag = KernelKind.ALT, RepresentationTag.BERNOULLI_7C
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return _theorem_route(complex(2 * n), z, delta, tol, kind, tag, True)
+    return _theorem_route(2 * n, z, delta, tol, _variant_tag(variant, True))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +343,10 @@ def li_integral_classical(s, z, tol: float = 1e-10, form: str = "exp") -> Polylo
     (1, inf) (z = 1 additionally needs Re s > 1).
 
     form='log':  z/Gamma(s) * int_0^1 log(1/u)^{s-1}/(1 - z u) du, used on
-    the open unit disc.
+    the open unit disc. Both ends can be singular, so it is split at
+    u = 1/2, and the upper half is integrated in v = 1 - u with -log1p(-v),
+    where floats are dense: log(1/u) does not round to 0 near u = 1
+    (0^{s-1} is NaN at Re s < 1).
     """
     s = complex(s)
     z = complex(z)
@@ -367,12 +377,22 @@ def li_integral_classical(s, z, tol: float = 1e-10, form: str = "exp") -> Polylo
         )
     if form == "log":
         _check_disc(z)
-        target = 0.5 * tol / abs(scale)
+        target = 0.25 * tol / abs(scale)  # per half
 
-        def integrand(u):
+        def lower(u):
             return np.log(1.0 / u) ** (s - 1.0) / (1.0 - z * u)
 
-        q = integrate_adaptive(integrand, 0.0, 1.0, tol=target)
+        def upper(v):
+            return (-np.log1p(-v)) ** (s - 1.0) / (1.0 - z * (1.0 - v))
+
+        # Breakpoints one unit apart in log(1/u), past the peak of the mass
+        # at log(1/u) = Re s - 1: at large Re s it sits at u ~ e^{1-Re s},
+        # out of sight of the nodes of [0, 1/2].
+        cuts = np.exp(-np.arange(1.0, 2.0 * s.real + 30.0))
+        lo = integrate_adaptive(lower, 0.0, 0.5, tol=target, breakpoints=cuts)
+        hi = integrate_adaptive(upper, 0.0, 0.5, tol=target)
+        q = QuadratureResult(lo.value + hi.value, lo.error_estimate + hi.error_estimate,
+                             lo.evaluations + hi.evaluations, lo.converged and hi.converged)
         return PolylogResult(
             value=scale * q.value,
             error_estimate=abs(scale) * q.error_estimate,
@@ -455,8 +475,7 @@ def lemma_expected(channel: str, kind: KernelKind, n: int, z, delta: float = 1.0
     """
     z = complex(z)
     _check_disc(z)
-    matched = "sin" if kind is KernelKind.SIN else "cos"
-    if channel == matched:
+    if channel == _KERNEL_CHANNEL[kind]:
         return delta * z**n
     if delta == 1.0:
         return 0.0 + 0.0j
@@ -512,7 +531,7 @@ def li_inversion_integer(n: int, z, tol: float = 1e-10) -> PolylogResult:
 # Dispatcher.
 
 def _is_nonneg_integer(s: complex) -> bool:
-    return s.imag == 0.0 and s.real >= 0.0 and s.real == math.floor(s.real)
+    return _is_real_integer(s) and s.real >= 0.0
 
 
 def _auto_route(s: complex, z: complex) -> RepresentationTag:
@@ -524,57 +543,46 @@ def _auto_route(s: complex, z: complex) -> RepresentationTag:
             return RepresentationTag.CLASSICAL_EXP
         return RepresentationTag.SERIES
     if az > 1.0:
-        if _is_nonneg_integer(s) and s.real >= 1.0:
+        if _is_nonneg_integer(s):
             return RepresentationTag.INVERSION_INT
         raise UnsupportedCombinationError(
-            f"no route for non-integer order s={s} outside the unit disc"
+            f"no route for order s={s} outside the unit disc (needs a nonnegative integer order)"
         )
     raise UnsupportedCombinationError("evaluation on |z| = 1 is not supported")
-
-
-_THEOREM_TAGS = (
-    RepresentationTag.THEOREM_6A,
-    RepresentationTag.THEOREM_6B,
-    RepresentationTag.THEOREM_6C,
-)
 
 
 def li_eval(req: PolylogRequest) -> PolylogResult:
     """Evaluate Li_s(z) by the requested representation, or pick one:
     series inside |z| <= 0.5, the classical integral on 0.5 < |z| < 1,
-    and integer-order inversion outside the disc.
+    and integer-order inversion (order 0 included) outside the disc.
 
     A forced route is held to its hypothesis here: Re s > 1 for the
     theorem routes, a positive integer order of matching parity for the
-    Bernoulli routes; the routes themselves check |z| < 1."""
+    Bernoulli routes; the routes themselves check |z| < 1. At an integer
+    order whose parity matches the kernel's channel the theorem routes
+    take the same closed Bernoulli weight as the Bernoulli routes, so
+    there they are not an independent check; li_theorem_sin/cos with
+    use_bernoulli=False are."""
     s = complex(req.s)
     z = complex(req.z)
     tag = req.representation
     if tag is RepresentationTag.AUTO:
         tag = _auto_route(s, z)
-    if tag in _THEOREM_TAGS and s.real <= 1.0:
-        raise DomainError(f"{tag.value} requires Re s > 1, got s = {s}")
     if tag is RepresentationTag.SERIES:
         return li_series(s, z, req.tol)
     if tag is RepresentationTag.CLASSICAL_EXP:
         return li_integral_classical(s, z, req.tol, form="exp")
     if tag is RepresentationTag.CLASSICAL_LOG:
         return li_integral_classical(s, z, req.tol, form="log")
-    if tag is RepresentationTag.THEOREM_6A:
-        return li_theorem_sin(s, z, req.delta, req.tol)
-    if tag is RepresentationTag.THEOREM_6B:
-        return li_theorem_cos(s, z, req.delta, "cos", req.tol)
-    if tag is RepresentationTag.THEOREM_6C:
-        return li_theorem_cos(s, z, req.delta, "alt", req.tol)
-    if tag is RepresentationTag.BERNOULLI_7A:
-        if _bernoulli_parity(s) != "sin":
-            raise UnsupportedCombinationError("this route needs odd integer order")
-        return li_bernoulli_odd((int(s.real) + 1) // 2, z, req.delta, req.tol)
-    if tag in (RepresentationTag.BERNOULLI_7B, RepresentationTag.BERNOULLI_7C):
-        if _bernoulli_parity(s) != "cos":
-            raise UnsupportedCombinationError("this route needs even integer order")
-        variant = "cos" if tag is RepresentationTag.BERNOULLI_7B else "alt"
-        return li_bernoulli_even(int(s.real) // 2, z, req.delta, variant, req.tol)
+    if tag in _KERNEL_ROUTES:
+        kind, bernoulli = _KERNEL_ROUTES[tag]
+        channel = _KERNEL_CHANNEL[kind]
+        if not bernoulli and s.real <= 1.0:
+            raise DomainError(f"{tag.value} requires Re s > 1, got s = {s}")
+        if bernoulli and _bernoulli_parity(s) != channel:
+            parity = "odd" if channel == "sin" else "even"
+            raise UnsupportedCombinationError(f"this route needs {parity} integer order")
+        return _theorem_route(s, z, req.delta, req.tol, tag)
     if tag is RepresentationTag.INVERSION_INT:
         if not _is_nonneg_integer(s):
             raise UnsupportedCombinationError("inversion requires integer order")

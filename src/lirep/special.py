@@ -113,7 +113,7 @@ def hurwitz_zeta(s, a) -> complex:
     s = complex(s)
     a = complex(a)
     if a.real <= 0.0:
-        if a.imag == 0.0 and a.real == math.floor(a.real):
+        if _is_real_integer(a):
             raise DomainError(f"hurwitz_zeta undefined at a={a.real:g}")
         raise DomainError("hurwitz_zeta requires Re a > 0")
     if s == 1.0:

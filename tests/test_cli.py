@@ -114,6 +114,14 @@ class TestEval:
         values = [complex(*r["value"]) for r in rows]
         assert abs(values[0] - values[1]) < 1e-8
 
+    def test_rep_all_order_below_one(self, capsys):
+        # series, classical-exp and classical-log accept 0 < s < 1 inside the disc
+        code = main(["eval", "--s", "0.5", "--z", "0.3", "--rep", "all", "--format", "json"])
+        rows = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert {r["route"] for r in rows} == {"series", "classical-exp", "classical-log"}
+        assert all(r["converged"] for r in rows)
+
     def test_nonconvergence_exit_code(self, capsys, monkeypatch):
         import lirep.cli as cli_mod
         from lirep.quadrature import QuadratureResult
@@ -158,6 +166,18 @@ class TestCrosscheck:
         err = capsys.readouterr().err
         assert code == 2
         assert "|z| < 1" in err
+
+    def test_mixed_radii_rejected_before_any_row(self, capsys, monkeypatch):
+        import lirep.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "li_eval", lambda req: calls.append(req))
+        code = main(["crosscheck", "--radii", "0.5,1.2", "--s-list", "2.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "|z| < 1" in captured.err
+        assert captured.out == ""
+        assert calls == []  # the whole grid is checked before any route runs
 
 
 class TestZetaOdd:

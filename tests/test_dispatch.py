@@ -5,8 +5,12 @@ from lirep import (
     PolylogRequest,
     RepresentationTag,
     UnsupportedCombinationError,
+    li_bernoulli_even,
+    li_bernoulli_odd,
     li_eval,
     li_series,
+    li_theorem_cos,
+    li_theorem_sin,
 )
 
 
@@ -25,6 +29,10 @@ def test_auto_middle_ring_uses_classical():
 def test_auto_outside_disc_integer_order():
     res = li_eval(PolylogRequest(s=3, z=-4.0))
     assert res.route is RepresentationTag.INVERSION_INT
+    # order 0: Li_0(z) = z / (1 - z)
+    res = li_eval(PolylogRequest(s=0, z=-4.0))
+    assert res.route is RepresentationTag.INVERSION_INT
+    assert res.value == pytest.approx(-0.8, abs=1e-12)
 
 
 def test_auto_outside_disc_noninteger_rejected():
@@ -58,8 +66,30 @@ def test_bernoulli_routes_parity_checked():
         li_eval(PolylogRequest(s=2, z=0.3, representation=RepresentationTag.BERNOULLI_7A))
     with pytest.raises(UnsupportedCombinationError):
         li_eval(PolylogRequest(s=3, z=0.3, representation=RepresentationTag.BERNOULLI_7B))
+    with pytest.raises(UnsupportedCombinationError):
+        li_eval(PolylogRequest(s=3, z=0.3, representation=RepresentationTag.BERNOULLI_7C))
     res = li_eval(PolylogRequest(s=3, z=0.3, representation=RepresentationTag.BERNOULLI_7A))
     assert res.route is RepresentationTag.BERNOULLI_7A
+
+
+@pytest.mark.parametrize(
+    "tag, s, entry",
+    [
+        pytest.param(tag, s, entry, id=tag.value)
+        for tag, s, entry in (
+            (RepresentationTag.THEOREM_6A, 2.5, lambda z: li_theorem_sin(2.5, z)),
+            (RepresentationTag.THEOREM_6B, 2.5, lambda z: li_theorem_cos(2.5, z, variant="cos")),
+            (RepresentationTag.THEOREM_6C, 2.5, lambda z: li_theorem_cos(2.5, z, variant="alt")),
+            (RepresentationTag.BERNOULLI_7A, 3, lambda z: li_bernoulli_odd(2, z)),
+            (RepresentationTag.BERNOULLI_7B, 2, lambda z: li_bernoulli_even(1, z, variant="cos")),
+            (RepresentationTag.BERNOULLI_7C, 2, lambda z: li_bernoulli_even(1, z, variant="alt")),
+        )
+    ],
+)
+def test_kernel_tags_reach_their_route(tag, s, entry):
+    res = li_eval(PolylogRequest(s=s, z=0.4, representation=tag))
+    assert res.route is tag
+    assert res.value == entry(0.4).value
 
 
 def test_request_validation():

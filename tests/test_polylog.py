@@ -83,6 +83,13 @@ class TestClassical:
             ref = li_series(s, z, tol=1e-12)
             r = li_integral_classical(s, z, tol=1e-9, form="log")
             assert r.value == pytest.approx(ref.value, abs=5e-9)
+        # 0 < Re s < 1: log(1/u)^(s-1) is singular at u = 1; at large Re s
+        # the mass sits at log(1/u) ~ Re s - 1, i.e. u ~ 1e-17 for s = 40
+        for (s, z) in ((0.5, 0.3), (0.2, 0.6 + 0.2j), (20, -0.7), (40, 0.5)):
+            ref = li_series(s, z, tol=1e-12)
+            r = li_integral_classical(s, z, form="log")
+            assert r.converged
+            assert abs(r.value - ref.value) <= 1e-10
 
     def test_outside_disc(self):
         # valid anywhere off the real ray (1, inf)
