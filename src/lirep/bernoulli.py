@@ -70,7 +70,7 @@ def _table_upto(n: int) -> BernoulliTable:
     if n > _shared.max_index:
         with _lock:
             if n > _shared.max_index:
-                _shared = bernoulli_numbers(max(n, 2 * _shared.max_index))
+                _shared = bernoulli_numbers(max(n, min(2 * _shared.max_index, BERNOULLI_CAP)))
     return _shared
 
 

@@ -10,6 +10,7 @@ The three routes are kept independent so they can cross-check each other.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,23 +67,33 @@ def _truncation_index(s: complex, sin_half: float, tol: float) -> int:
     return int(k) + 1
 
 
+def _dirichlet_sums(s: complex, terms: int, waves) -> list[complex]:
+    """[sum_{k=1}^{terms} k^{-s} w_k for each array w in waves(k)], summed in
+    chunks of _CHUNK terms for memory; real orders take the real power.
+    map drops each wave once it is dotted, so a generator of waves keeps
+    one chunk-sized wave alive at a time."""
+    sums = itertools.repeat(0j)
+    for lo in range(1, terms + 1, _CHUNK):
+        k = np.arange(lo, min(lo + _CHUNK, terms + 1), dtype=float)
+        coeff = k ** (-s.real) if s.imag == 0.0 else np.exp(-s * np.log(k))
+        sums = [acc + dot for acc, dot in zip(sums, map(coeff.dot, waves(k)))]
+    return sums
+
+
 def _series_pair(s: complex, x: float, tol: float) -> tuple[complex, complex]:
-    """(S_s(x), C_s(x)) by truncated summation, chunked for memory."""
+    """(S_s(x), C_s(x)) by truncated summation."""
     r = math.remainder(x, TWO_PI)
     if r == 0.0:
         return 0.0 + 0.0j, riemann_zeta(s)
     terms = _truncation_index(s, abs(math.sin(0.5 * r)), tol)
-    real_s = s.imag == 0.0
-    s_acc = 0.0 + 0.0j
-    c_acc = 0.0 + 0.0j
-    for lo in range(1, terms + 1, _CHUNK):
-        hi = min(lo + _CHUNK, terms + 1)
-        k = np.arange(lo, hi, dtype=float)
-        coeff = k ** (-s.real) if real_s else np.exp(-s * np.log(k))
+
+    def waves(k):
         kx = k * x
-        s_acc += np.dot(coeff, np.sin(kx))
-        c_acc += np.dot(coeff, np.cos(kx))
-    return complex(s_acc), complex(c_acc)
+        yield np.sin(kx)
+        yield np.cos(kx)
+
+    sin_sum, cos_sum = _dirichlet_sums(s, terms, waves)
+    return complex(sin_sum), complex(cos_sum)
 
 
 _REFLECTION_THRESHOLD = 1 << 20
@@ -98,17 +109,14 @@ def _pair_cheapest(s: complex, x: float, tol: float) -> tuple[complex, complex]:
     window of integer orders; there the series is used up to its hard
     cap, beyond which the point is genuinely out of reach.
     """
-    r = math.remainder(x, TWO_PI)
-    if r == 0.0:
-        return _series_pair(s, x, tol)
-    k = _planned_terms(s, abs(math.sin(0.5 * r)), tol)
-    if k <= _REFLECTION_THRESHOLD:
-        return _series_pair(s, x, tol)
     u = (x / TWO_PI) % 1.0
-    excluded = _nearest_excluded(s, 0) is not None or _nearest_excluded(s, 1) is not None
-    if 0.0 < u < 1.0 and not excluded:
-        cv = clausen_via_hurwitz(s, u)
-        return cv.sin_part, cv.cos_part
+    sin_half = abs(math.sin(0.5 * math.remainder(x, TWO_PI)))
+    if 0.0 < u < 1.0 and _planned_terms(s, sin_half, tol) > _REFLECTION_THRESHOLD:
+        try:
+            cv = clausen_via_hurwitz(s, u)
+            return cv.sin_part, cv.cos_part
+        except ExclusionError:
+            pass
     return _series_pair(s, x, tol)
 
 
@@ -119,10 +127,18 @@ def _bernoulli_parity(s: complex) -> str | None:
     return "sin" if int(s.real) % 2 == 1 else "cos"
 
 
+def _two_pi_power_over_factorial(m: int) -> float:
+    """(2pi)^m / m! from the exact rational of TWO_PI, rounded once (int / int
+    is correctly rounded): m! overflows binary64 from m = 171, the quotient
+    stays finite up to the Bernoulli cap."""
+    num, den = TWO_PI.as_integer_ratio()
+    return num**m / (den**m * math.factorial(m))
+
+
 def _bernoulli_scale(order: int) -> float:
     """(-1)^(order//2 + 1) (2pi)^order / (2 order!), the factor in front of
     B_order(x / 2pi) in the closed forms of clausen_bernoulli."""
-    return (-1.0) ** (order // 2 + 1) * TWO_PI**order / (2.0 * math.factorial(order))
+    return (-1.0) ** (order // 2 + 1) * _two_pi_power_over_factorial(order) / 2.0
 
 
 def _bernoulli_weight(order: int):
@@ -172,38 +188,18 @@ def clausen_direct(s, x: float, tol: float = 1e-12, use_bernoulli: bool = True) 
     s = complex(s)
     if s.real <= 1.0:
         raise DomainError(f"clausen_direct requires Re s > 1, got {s}")
-    if not use_bernoulli:
-        # explicit raw-series request (cross-check paths must not be
-        # silently rerouted through the reflection)
-        sin_part, cos_part = _series_pair(s, x, tol)
-    else:
-        # at integer orders >= 2 the reflection is excluded, so the
-        # cheapest pair is the series there
-        sin_part, cos_part = _pair_cheapest(s, x, tol)
-        parity = _bernoulli_parity(s)
-        if parity == "sin":
-            sin_part = complex(clausen_bernoulli("sin", int(s.real), x % TWO_PI))
-        elif parity == "cos":
-            cos_part = complex(clausen_bernoulli("cos", int(s.real), x % TWO_PI))
+    # an explicit raw-series request (cross-check paths) must not be
+    # silently rerouted through the reflection
+    sin_part, cos_part = (_pair_cheapest if use_bernoulli else _series_pair)(s, x, tol)
+    parity = _bernoulli_parity(s) if use_bernoulli else None
+    if parity == "sin":
+        sin_part = complex(clausen_bernoulli("sin", int(s.real), x % TWO_PI))
+    elif parity == "cos":
+        cos_part = complex(clausen_bernoulli("cos", int(s.real), x % TWO_PI))
     return ClausenValue(sin_part=sin_part, cos_part=cos_part, s=s, x=x)
 
 
 _EXCLUSION_WINDOW = 1e-8
-
-
-def _nearest_excluded(s: complex, parity: int) -> int | None:
-    """Nearest integer of given parity (0 even, 1 odd) within the rejection window."""
-    if abs(s.imag) > _EXCLUSION_WINDOW:
-        return None
-    m = round(s.real)
-    if m % 2 != parity:
-        return None
-    lower = 2 if parity == 0 else 3
-    if m < lower:
-        return None
-    if abs(s - m) < _EXCLUSION_WINDOW:
-        return m
-    return None
 
 
 def clausen_via_hurwitz(s, t: float) -> ClausenValue:
@@ -219,12 +215,10 @@ def clausen_via_hurwitz(s, t: float) -> ClausenValue:
         raise DomainError(f"clausen_via_hurwitz requires Re s > 1, got {s}")
     if not 0.0 < t < 1.0:
         raise DomainError("t must lie strictly inside (0, 1)")
-    m = _nearest_excluded(s, 0)
-    if m is not None:
-        raise ExclusionError(f"sin channel singular at s = {m} (even integer order)")
-    m = _nearest_excluded(s, 1)
-    if m is not None:
-        raise ExclusionError(f"cos channel singular at s = {m} (odd integer order)")
+    m = round(s.real)
+    if m >= 2 and abs(s - m) < _EXCLUSION_WINDOW:
+        channel, parity = ("sin", "even") if m % 2 == 0 else ("cos", "odd")
+        raise ExclusionError(f"{channel} channel singular at s = {m} ({parity} integer order)")
     za = hurwitz_zeta(1.0 - s, t)
     zb = hurwitz_zeta(1.0 - s, 1.0 - t)
     pref = TWO_PI**s / (4.0 * gamma_complex(s))

@@ -19,7 +19,15 @@ from enum import Enum
 import numpy as np
 
 from .bernoulli import bernoulli_poly
-from .clausen import TWO_PI, _bernoulli_parity, _bernoulli_scale, _bernoulli_weight, _pair_cheapest
+from .clausen import (
+    TWO_PI,
+    _bernoulli_parity,
+    _bernoulli_scale,
+    _bernoulli_weight,
+    _dirichlet_sums,
+    _pair_cheapest,
+    _two_pi_power_over_factorial,
+)
 from .errors import (
     DomainError,
     ResourceLimitError,
@@ -310,14 +318,8 @@ def li_series(s, z, tol: float = 1e-10) -> PolylogResult:
     if z == 0.0:
         return PolylogResult(0.0 + 0.0j, 0.0, RepresentationTag.SERIES)
     K, bound = _series_truncation(s, z, tol)
-    value = 0.0 + 0.0j
-    chunk = 1 << 21
-    for lo in range(1, K + 1, chunk):
-        k = np.arange(lo, min(lo + chunk, K + 1), dtype=float)
-        powers = np.power(z, k)
-        coeff = k ** (-s.real) if s.imag == 0.0 else np.exp(-s * np.log(k))
-        value += complex(np.dot(powers, coeff))
-    return PolylogResult(value, bound, RepresentationTag.SERIES)
+    (value,) = _dirichlet_sums(s, K, lambda k: (np.power(z, k),))
+    return PolylogResult(complex(value), bound, RepresentationTag.SERIES)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +520,7 @@ def li_inversion_integer(n: int, z, tol: float = 1e-10) -> PolylogResult:
         raise DomainError("inversion route is undefined on the cut [1, inf)")
     inner = li_series(n, 1.0 / z, tol=0.5 * tol)
     shifted = 0.5 + cmath.log(-z) / (2.0j * math.pi)
-    poly_term = (2.0j * math.pi) ** n / math.factorial(n) * bernoulli_poly(n, shifted)
+    poly_term = 1j ** (n % 4) * _two_pi_power_over_factorial(n) * bernoulli_poly(n, shifted)
     value = (-1.0) ** (n - 1) * inner.value - poly_term
     return PolylogResult(
         value=value,

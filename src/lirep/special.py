@@ -100,6 +100,11 @@ def riemann_zeta(s) -> complex:
 
 #: Bernoulli corrections in the Euler-Maclaurin tail of hurwitz_zeta.
 _HURWITZ_CORRECTIONS = 12
+#: B_2j / (2j)! for j = 1.._HURWITZ_CORRECTIONS.
+_HURWITZ_COEFFS = tuple(
+    float(bernoulli_number(2 * j)) / math.factorial(2 * j)
+    for j in range(1, _HURWITZ_CORRECTIONS + 1)
+)
 
 
 def hurwitz_zeta(s, a) -> complex:
@@ -131,10 +136,8 @@ def hurwitz_zeta(s, a) -> complex:
     rising = s  # s(s+1)...(s+2j-2), grown two factors per correction
     winv = 1.0 / w
     wpow = w ** (-s) * winv
-    for j in range(1, _HURWITZ_CORRECTIONS + 1):
-        terms.append(
-            float(bernoulli_number(2 * j)) / math.factorial(2 * j) * rising * wpow
-        )
+    for j, coeff in enumerate(_HURWITZ_COEFFS, start=1):
+        terms.append(coeff * rising * wpow)
         rising = rising * (s + (2 * j - 1)) * (s + 2 * j)
         wpow = wpow * winv * winv
     return complex(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lirep import BERNOULLI_CAP, ResourceLimitError, bernoulli_numbers, bernoulli_poly
+from lirep import bernoulli as bernoulli_mod
 from lirep.bernoulli import bernoulli_number
 
 from oracles import bernoulli_exact, bernoulli_poly_exact
@@ -45,6 +46,16 @@ def test_cap_enforced():
     with pytest.raises(ResourceLimitError):
         bernoulli_numbers(BERNOULLI_CAP + 1)
     bernoulli_numbers(300, cap=300)  # explicit cap override works
+
+
+def test_shared_table_grows_up_to_the_cap(monkeypatch):
+    # from the import-time table (B_0..B_32): after B_150, doubling for
+    # B_200 would ask for 300 entries, past the cap
+    monkeypatch.setattr(bernoulli_mod, "_shared", bernoulli_numbers(32))
+    bernoulli_number(150)
+    assert bernoulli_number(200) == bernoulli_numbers(200)[200]
+    with pytest.raises(ResourceLimitError):
+        bernoulli_number(BERNOULLI_CAP + 1)
 
 
 def test_poly_degree_zero():

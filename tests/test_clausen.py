@@ -12,6 +12,7 @@ from lirep import (
     clausen_via_hurwitz,
     riemann_zeta,
 )
+from lirep.clausen import _REFLECTION_THRESHOLD, _planned_terms
 
 from oracles import alternating_odd_cubes, clausen_c_brute, clausen_s1, clausen_s_brute
 
@@ -57,6 +58,15 @@ class TestClausenDirect:
         v = clausen_direct(3.3, 2.2, use_bernoulli=False)
         assert v.sin_part.imag == 0.0
         assert v.cos_part.imag == 0.0
+
+    def test_series_where_reflection_excluded(self):
+        # past the reflection threshold, but within the exclusion window of
+        # order 2: the weight falls back to the series, with no exception
+        for s in (2 + 1e-9, 2 + 1e-9j):
+            assert _planned_terms(complex(s), math.sin(0.015), 1e-10) > _REFLECTION_THRESHOLD
+            v = clausen_direct(s, 0.03, tol=1e-10)
+            raw = clausen_direct(s, 0.03, tol=1e-10, use_bernoulli=False)
+            assert (v.sin_part, v.cos_part) == (raw.sin_part, raw.cos_part)
 
 
 class TestClausenBernoulli:

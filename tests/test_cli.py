@@ -199,6 +199,14 @@ class TestZetaOdd:
         assert code == 0
         assert payload["reference"] == pytest.approx(1.0083492773819228, abs=1e-12)
 
+    def test_order_past_factorial_overflow(self, capsys):
+        # zeta(171): 171! overflows binary64, (2 pi)^171 / 171! does not
+        code = main(["zeta-odd", "--n", "85", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        for row in payload["rows"]:
+            assert row["abs_dev"] <= 1e-12
+
     def test_n0_rejected(self, capsys):
         assert main(["zeta-odd", "--n", "0"]) == 2
 

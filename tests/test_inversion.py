@@ -24,6 +24,14 @@ def test_against_classical_integral(n, z):
     assert inv.value == pytest.approx(ref.value, abs=1e-8)
 
 
+@pytest.mark.parametrize("n", [171, 255])
+def test_orders_past_factorial_overflow(n):
+    # n! overflows binary64 from n = 171; Li_n(z) = z + z^2 2^-n + ... is z
+    # to binary64 at these orders
+    z = -3.0 + 1.0j
+    assert abs(li_inversion_integer(n, z).value - z) <= 1e-12
+
+
 def test_boundary_continuity():
     outside = li_inversion_integer(3, -1.0000001, tol=1e-10)
     inside = li_series(3, -0.9999999, tol=1e-10)
