@@ -10,7 +10,7 @@ The three routes are kept independent so they can cross-check each other.
 from __future__ import annotations
 
 import cmath
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,33 +67,73 @@ def _truncation_index(s: complex, sin_half: float, tol: float) -> int:
     return int(k) + 1
 
 
-def _dirichlet_sums(s: complex, terms: int, waves) -> list[complex]:
-    """[sum_{k=1}^{terms} k^{-s} w_k for each array w in waves(k)], summed in
-    chunks of _CHUNK terms for memory; real orders take the real power.
-    map drops each wave once it is dotted, so a generator of waves keeps
-    one chunk-sized wave alive at a time."""
-    sums = itertools.repeat(0j)
-    for lo in range(1, terms + 1, _CHUNK):
-        k = np.arange(lo, min(lo + _CHUNK, terms + 1), dtype=float)
-        coeff = k ** (-s.real) if s.imag == 0.0 else np.exp(-s * np.log(k))
-        sums = [acc + dot for acc, dot in zip(sums, map(coeff.dot, waves(k)))]
-    return sums
+def _inverse_powers(s: complex, k: np.ndarray) -> np.ndarray:
+    """k^{-s} elementwise; real orders take the real power."""
+    return k ** (-s.real) if s.imag == 0.0 else np.exp(-s * np.log(k))
+
+
+#: Longest k^{-s} table kept in the memo; longer Clausen series compute
+#: their coefficients chunk by chunk.
+_POWER_CAP = 1 << 16
+_POWER_MIN = 1 << 10
+_POWER_SLOTS = 8
+
+
+@functools.lru_cache(maxsize=_POWER_SLOTS)
+def _power_table(s: complex, size: int) -> np.ndarray:
+    """Read-only k^{-s} for k = size down to 1, shared by every node of an
+    order; its last n entries are the first n coefficients, smallest first.
+
+    Sizes are powers of two from _POWER_MIN to _POWER_CAP, so the slots hold
+    all the sizes one order can ask for."""
+    table = _inverse_powers(s, np.arange(size, 0, -1, dtype=float))
+    table.flags.writeable = False
+    return table
+
+
+def _unit_phases(x: float, lo: int, n: int) -> np.ndarray:
+    """e^{ikx} for k = lo+n-1 down to lo, by angle addition.
+
+    The range splits into blocks of b ~ sqrt(n) terms; the outer product of
+    e^{i(lo + jb)x} over the block starts and e^{imx}, m < b, within a block
+    gives every term for one complex multiply instead of a sin and a cos.
+    Each angle is rounded once as k*x would be, so the phase error per term
+    stays that of the rounded k*x plus about 2 ulp."""
+    b = math.isqrt(n - 1) + 1
+    a = -(-n // b)
+    inner = np.arange(b - 1, -1, -1, dtype=float)
+    starts = np.arange(lo + (a - 1) * b, lo - 1, -b, dtype=float)
+    angles = np.concatenate((inner, starts)) * x
+    unit = np.empty(a + b, dtype=complex)
+    np.cos(angles, out=unit.real)
+    np.sin(angles, out=unit.imag)
+    return np.multiply.outer(unit[b:], unit[:b]).ravel()[a * b - n :]
 
 
 def _series_pair(s: complex, x: float, tol: float) -> tuple[complex, complex]:
-    """(S_s(x), C_s(x)) by truncated summation."""
+    """(S_s(x), C_s(x)) by truncated summation.
+
+    Each chunk of terms is one product of the coefficients, as real rows
+    (re, im), with the waves as real columns (cos, sin). The terms run from
+    the smallest up, which keeps the rounding of the running sum to a few
+    ulp. Series within _POWER_CAP terms read their coefficients from the
+    memo."""
     r = math.remainder(x, TWO_PI)
     if r == 0.0:
         return 0.0 + 0.0j, riemann_zeta(s)
     terms = _truncation_index(s, abs(math.sin(0.5 * r)), tol)
-
-    def waves(k):
-        kx = k * x
-        yield np.sin(kx)
-        yield np.cos(kx)
-
-    sin_sum, cos_sum = _dirichlet_sums(s, terms, waves)
-    return complex(sin_sum), complex(cos_sum)
+    cos_sum = sin_sum = 0j
+    for lo in reversed(range(1, terms + 1, _CHUNK)):
+        n = min(_CHUNK, terms + 1 - lo)
+        if terms <= _POWER_CAP:
+            coeff = _power_table(s, max(_POWER_MIN, 1 << (terms - 1).bit_length()))[-n:]
+        else:
+            coeff = _inverse_powers(s, np.arange(lo + n - 1, lo - 1, -1, dtype=float))
+        waves = _unit_phases(x, lo, n).view(float).reshape(n, 2)
+        cos_parts, sin_parts = np.dot(coeff.view(float).reshape(n, -1).T, waves).T.tolist()
+        cos_sum += complex(*cos_parts)
+        sin_sum += complex(*sin_parts)
+    return sin_sum, cos_sum
 
 
 _REFLECTION_THRESHOLD = 1 << 20

@@ -21,10 +21,11 @@ import numpy as np
 from .bernoulli import bernoulli_poly
 from .clausen import (
     TWO_PI,
+    _CHUNK,
     _bernoulli_parity,
     _bernoulli_scale,
     _bernoulli_weight,
-    _dirichlet_sums,
+    _inverse_powers,
     _pair_cheapest,
     _two_pi_power_over_factorial,
 )
@@ -318,7 +319,10 @@ def li_series(s, z, tol: float = 1e-10) -> PolylogResult:
     if z == 0.0:
         return PolylogResult(0.0 + 0.0j, 0.0, RepresentationTag.SERIES)
     K, bound = _series_truncation(s, z, tol)
-    (value,) = _dirichlet_sums(s, K, lambda k: (np.power(z, k),))
+    value = 0j
+    for lo in range(1, K + 1, _CHUNK):
+        k = np.arange(lo, min(lo + _CHUNK, K + 1), dtype=float)
+        value += _inverse_powers(s, k).dot(np.power(z, k))
     return PolylogResult(complex(value), bound, RepresentationTag.SERIES)
 
 

@@ -161,6 +161,8 @@ def integrate_adaptive(
     """
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     if tol < 1e-14:
         raise DomainError("tolerances below 1e-14 are not resolvable in binary64")
     cuts = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})

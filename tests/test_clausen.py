@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +13,14 @@ from lirep import (
     clausen_via_hurwitz,
     riemann_zeta,
 )
-from lirep.clausen import _REFLECTION_THRESHOLD, _planned_terms
+from lirep.clausen import (
+    _CHUNK,
+    _POWER_CAP,
+    _REFLECTION_THRESHOLD,
+    _planned_terms,
+    _series_pair,
+    _truncation_index,
+)
 
 from oracles import alternating_odd_cubes, clausen_c_brute, clausen_s1, clausen_s_brute
 
@@ -67,6 +75,49 @@ class TestClausenDirect:
             v = clausen_direct(s, 0.03, tol=1e-10)
             raw = clausen_direct(s, 0.03, tol=1e-10, use_bernoulli=False)
             assert (v.sin_part, v.cos_part) == (raw.sin_part, raw.cos_part)
+
+
+def _plain_series(s: complex, x: float, terms: int) -> tuple[complex, complex]:
+    """sum_{k <= terms} k^-s (sin kx, cos kx) with one sin and one cos per
+    term, in chunks of 2^20 terms."""
+    sin_sum = cos_sum = 0j
+    for lo in range(1, terms + 1, 1 << 20):
+        k = np.arange(lo, min(lo + (1 << 20), terms + 1), dtype=float)
+        coeff = np.exp(-s * np.log(k))
+        sin_sum += coeff.dot(np.sin(k * x))
+        cos_sum += coeff.dot(np.cos(k * x))
+    return sin_sum, cos_sum
+
+
+def _check_against_plain_series(s: complex, x: float, tol: float) -> int:
+    # both sum the same terms, so they agree to rounding (the plain sum's
+    # own reaches 2e-14 over 2.8M terms); a misplaced term shows far above
+    terms = _truncation_index(s, abs(math.sin(0.5 * math.remainder(x, TWO_PI))), tol)
+    got = _series_pair(s, x, tol)
+    ref = _plain_series(s, x, terms)
+    assert abs(got[0] - ref[0]) <= 1e-12
+    assert abs(got[1] - ref[1]) <= 1e-12
+    return terms
+
+
+class TestSeriesKernel:
+    """The block angle-addition series against plain sin/cos summation of
+    the same terms."""
+
+    @pytest.mark.parametrize("x", [1e-3, 0.9, math.pi, TWO_PI - 1e-3, -1.1, 7.5])
+    @pytest.mark.parametrize("s", [3.3, 3.5 + 0.6j, 4.4 - 0.9j, 3.00001])
+    def test_matches_plain_summation(self, s, x):
+        _check_against_plain_series(complex(s), x, 1e-11)
+
+    def test_past_the_power_memo(self):
+        # longer than the memoised k^-s tables: coefficients computed fresh
+        assert _check_against_plain_series(2.5 + 0j, 0.01, 1e-11) > _POWER_CAP
+
+    @pytest.mark.parametrize("s", [2 + 1e-9, 2 + 1e-9j])
+    def test_two_chunks(self, s):
+        # the second chunk starts at k = _CHUNK + 1; a wrong block offset
+        # shows only there
+        assert _check_against_plain_series(complex(s), 0.005, 1e-10) > _CHUNK
 
 
 class TestClausenBernoulli:

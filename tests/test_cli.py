@@ -210,6 +210,10 @@ class TestZetaOdd:
     def test_n0_rejected(self, capsys):
         assert main(["zeta-odd", "--n", "0"]) == 2
 
+    def test_nan_tolerance_rejected(self, capsys):
+        assert main(["zeta-odd", "--n=1", "--tol=nan"]) == 2
+        assert "tol must be positive" in capsys.readouterr().err
+
 
 class TestLemmaCheck:
     def test_single_z_passes(self, capsys):
@@ -232,6 +236,13 @@ class TestLemmaCheck:
         assert code == 2
         assert captured.out == ""
         assert "--n-max must be >= 1" in captured.err
+
+    def test_nan_tolerance_rejected(self, capsys):
+        code = main(["lemma-check", "--n-max=1", "--z", "0.5", "--tol=nan", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "tol must be positive" in captured.err
 
     def test_injected_sign_flip_detected(self, capsys, monkeypatch):
         import lirep.polylog as pl

@@ -40,6 +40,13 @@ class TestBasics:
         with pytest.raises(DomainError):
             integrate_adaptive(lambda t: t, 0.0, 1.0, tol=1e-15)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-10, 0.0])
+    def test_tolerance_not_positive(self, tol):
+        # nan < 1e-14 is False: a NaN tol must not slip past the floor and
+        # burn the whole evaluation budget
+        with pytest.raises(DomainError, match="tol must be positive"):
+            integrate_adaptive(lambda t: t, 0.0, 1.0, tol=tol)
+
     def test_budget_exhaustion_flagged_not_raised(self):
         # a needle the budget cannot resolve
         def needle(t):
