@@ -22,7 +22,7 @@ POINTS = [
 for s, z in POINTS:
     ref = li_series(s, z, tol=1e-12)
     print(f"\nLi_s(z) at s = {s}, z = {z}")
-    print(f"  series          : {ref.value:.15f}   (tail bound {ref.error_estimate:.1e})")
+    print(f"  series          : {ref.value:.15f}   (estimate {ref.error_estimate:.1e})")
     rows = [
         ("classical (exp)", li_integral_classical(s, z, tol=1e-9)),
         ("classical (log)", li_integral_classical(s, z, tol=1e-9, form="log")),

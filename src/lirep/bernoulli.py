@@ -12,8 +12,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ResourceLimitError
 
 #: Largest index bernoulli_numbers will compute. float(B_n) starts to
@@ -62,7 +60,7 @@ def bernoulli_numbers(n_max: int, cap: int = BERNOULLI_CAP) -> BernoulliTable:
 
 _lock = threading.Lock()
 _shared: BernoulliTable = bernoulli_numbers(32)
-_poly_coeffs: dict[int, np.ndarray] = {}
+_poly_coeffs: dict[int, tuple[float, ...]] = {}
 
 
 def _table_upto(n: int) -> BernoulliTable:
@@ -79,14 +77,12 @@ def bernoulli_number(n: int) -> Fraction:
     return _table_upto(n)[n]
 
 
-def _poly_coefficients(n: int) -> np.ndarray:
+def _poly_coefficients(n: int) -> tuple[float, ...]:
     """Float coefficients of B_n(x) in descending powers of x."""
     coeffs = _poly_coeffs.get(n)
     if coeffs is None:
         table = _table_upto(n)
-        coeffs = np.array(
-            [float(Fraction(math.comb(n, k)) * table[k]) for k in range(n + 1)]
-        )
+        coeffs = tuple(float(Fraction(math.comb(n, k)) * table[k]) for k in range(n + 1))
         _poly_coeffs[n] = coeffs
     return coeffs
 
@@ -95,12 +91,27 @@ def bernoulli_poly(n: int, x):
     """Bernoulli polynomial B_n(x) = sum_k C(n,k) B_k x^{n-k}.
 
     Horner evaluation on the exact coefficient expansion. Accepts scalars
-    (real or complex) and numpy arrays.
+    (real or complex) and numpy arrays: the loop is np.polyval's, without
+    its per-call conversions.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    coeffs = _poly_coefficients(n)
-    out = np.polyval(coeffs, x)
-    if isinstance(x, np.ndarray):
-        return out
-    return complex(out) if np.iscomplexobj(out) else float(out)
+    acc = 0.0
+    for c in _poly_coefficients(n):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_magnitude(n: int, r: float) -> float:
+    """sum_k |C(n,k) B_k| r^{n-k}, by the same Horner loop.
+
+    The rounding of bernoulli_poly(n, x) at |x| = r is at most
+    (2n + 1) eps times this, to first order: Horner's bound (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 5.1) with
+    sqrt(5) u per complex product, plus the rounding of the coefficients.
+    At 0 <= Re x <= 1 it reaches 1.3 eps times this at n = 11.
+    """
+    acc = 0.0
+    for c in _poly_coefficients(n):
+        acc = acc * r + abs(c)
+    return acc

@@ -143,6 +143,11 @@ def gauss_kronrod_panel(f, a: float, b: float) -> tuple[complex, float, float]:
     return complex(resk), err, resabs
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
+
+
 def integrate_adaptive(
     f,
     a: float,
@@ -161,8 +166,7 @@ def integrate_adaptive(
     """
     if not a < b:
         raise DomainError(f"need a < b, got [{a}, {b}]")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     if tol < 1e-14:
         raise DomainError("tolerances below 1e-14 are not resolvable in binary64")
     cuts = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})

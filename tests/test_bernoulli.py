@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from lirep import BERNOULLI_CAP, ResourceLimitError, bernoulli_numbers, bernoulli_poly
 from lirep import bernoulli as bernoulli_mod
-from lirep.bernoulli import bernoulli_number
+from lirep.bernoulli import _poly_magnitude, bernoulli_number
 
 from oracles import bernoulli_exact, bernoulli_poly_exact
 
@@ -103,3 +104,30 @@ def test_poly_complex_argument():
     z = 0.3 + 0.4j
     expected = z * z - z + Fraction(1, 6)  # B_2(x) = x^2 - x + 1/6
     assert bernoulli_poly(2, z) == pytest.approx(complex(expected), abs=1e-15)
+
+
+def test_scalar_path_against_array_and_exact():
+    # Scalars and arrays run the same Horner loop; Python and numpy complex
+    # products may round differently. Both stay within Horner's bound
+    # (2n + 1) eps sum |c_k| |x|^{n-k} of the exact value at these dyadic
+    # (exactly representable) points.
+    numbers = bernoulli_exact(12)
+    points = (0.375, -1.25, 0.8125 + 0.375j, 0.5 - 0.3125j, -1.125 + 1.75j)
+    for n in range(1, 13):
+        coeffs = [math.comb(n, k) * numbers[k] for k in range(n + 1)]
+        for x in points:
+            re, im = Fraction(x.real), Fraction(x.imag)
+            exact_re = exact_im = Fraction(0)
+            for c in coeffs:
+                exact_re, exact_im = exact_re * re - exact_im * im + c, exact_re * im + exact_im * re
+            exact = complex(float(exact_re), float(exact_im))
+            magnitude = sum(abs(float(c)) * abs(x) ** (n - k) for k, c in enumerate(coeffs))
+            assert _poly_magnitude(n, abs(x)) == pytest.approx(magnitude, rel=1e-14)
+            bound = (2 * n + 1) * 2.0**-52 * magnitude
+            scalar = bernoulli_poly(n, x)
+            array = bernoulli_poly(n, np.array([x]))[0]
+            assert type(scalar) is type(x)
+            assert abs(scalar - exact) <= bound, (n, x)
+            assert abs(array - exact) <= bound, (n, x)
+            if isinstance(x, float):
+                assert scalar == array

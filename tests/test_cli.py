@@ -214,6 +214,12 @@ class TestZetaOdd:
         assert main(["zeta-odd", "--n=1", "--tol=nan"]) == 2
         assert "tol must be positive" in capsys.readouterr().err
 
+    def test_negative_tolerance_named_as_given(self, capsys):
+        # the integrator receives tol scaled by the prefactor; the message
+        # must name the tolerance on the command line
+        assert main(["zeta-odd", "--n=1", "--tol=-1"]) == 2
+        assert "tol must be positive, got -1.0" in capsys.readouterr().err
+
 
 class TestLemmaCheck:
     def test_single_z_passes(self, capsys):

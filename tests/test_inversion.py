@@ -32,6 +32,17 @@ def test_orders_past_factorial_overflow(n):
     assert abs(li_inversion_integer(n, z).value - z) <= 1e-12
 
 
+@pytest.mark.parametrize("z", [3.3124 - 1.0462j, 3.2796 - 1.0242j])
+def test_estimate_counts_polynomial_rounding(z):
+    # B_6 cancels at 1/2 + log(-z)/(2 pi i): at the first point the error
+    # was 2.4e-14 against the 7.0e-15 that 8 eps |poly_term| charged
+    mpmath = pytest.importorskip("mpmath")
+    r = li_inversion_integer(6, z)
+    with mpmath.workdps(30):
+        ref = complex(mpmath.polylog(6, z))
+    assert abs(r.value - ref) <= r.error_estimate
+
+
 def test_boundary_continuity():
     outside = li_inversion_integer(3, -1.0000001, tol=1e-10)
     inside = li_series(3, -0.9999999, tol=1e-10)

@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 from lirep import (
@@ -19,8 +21,26 @@ from lirep.quadrature import integrate_adaptive
 
 from oracles import li_brute
 
+EPS = 2.0**-52
+
 LI2_HALF = 0.5822405264650125  # pi^2/12 - log(2)^2/2
 LI2_MINUS_HALF = -0.4484142069236462
+
+
+def _li_reference(s, z):
+    """Li_s(z) and a bound on the reference's own error: mpmath at 30
+    digits, or without mpmath oracles.li_brute, charged with its tail and,
+    per term, the eps (4 + |s| ln k + k |log z|) rounding of np.power."""
+    try:
+        import mpmath
+    except ImportError:
+        terms = 1 << 17
+        value, tail = li_brute(s, z, terms)
+        k = np.arange(1, terms + 1, dtype=float)
+        per_term = 4.0 + abs(s) * np.log(k) + k * abs(cmath.log(z))
+        return value, tail + EPS * float(per_term.dot(abs(z) ** k * k ** -complex(s).real))
+    with mpmath.workdps(30):
+        return complex(mpmath.polylog(s, z)), 0.0
 
 
 class TestSeries:
@@ -45,6 +65,28 @@ class TestSeries:
             r = li_series(s, z, tol=1e-10)
             brute, bbound = li_brute(s, z, 4_000_000 // 100)
             assert abs(r.value - brute) <= r.error_estimate + bbound + 1e-15
+
+    @pytest.mark.parametrize("s", [-2.5, -0.58, 0.3, 1.5, 3 + 2j])
+    def test_estimate_counts_rounding(self, s):
+        # Near |z| = 1 rounding, not the tail, sets the error. An estimate of
+        # the tail alone gave 1.7e-21 at s = -0.5791, z = -0.31687+0.94654i,
+        # where the error was 9.4e-12.
+        for r in (0.3, 0.9, 0.99, 0.998):
+            for arg in (0.7, 1.9, -2.9):
+                z = cmath.rect(r, arg)
+                res = li_series(s, z)
+                ref, ref_err = _li_reference(s, z)
+                allowed = res.error_estimate + ref_err + 8 * EPS * max(1.0, abs(ref))
+                assert abs(res.value - ref) <= allowed, (s, z)
+
+    def test_angle_reduced_before_rounding(self):
+        # Rounding k Im(log z) costs eps k |Im log z| per term: over the
+        # 65,536 terms taken here that summed to an error of 1.6e-10, past
+        # an estimate of 1.1e-11, before the angle was reduced modulo 2 pi
+        s, z = -0.2942658690687274, -0.4823830112950634 + 0.8748186271530269j
+        res = li_series(s, z)
+        ref, ref_err = _li_reference(s, z)
+        assert abs(res.value - ref) <= min(res.error_estimate, 1e-12) + ref_err
 
     def test_near_boundary_alternating(self):
         # negative real z close to the circle stays affordable through the
