@@ -73,8 +73,7 @@ class PolylogRequest:
             raise DomainError(f"s and z must be finite, got s = {self.s}, z = {self.z}")
         if self.delta not in (1.0, 0.5):
             raise DomainError("delta must be 1 or 1/2")
-        if not self.tol > 0.0:
-            raise DomainError("tol must be positive")
+        _check_tol(self.tol)
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,8 @@ def _kernel_l1_bound(kind: KernelKind, z: complex) -> float:
     return abs(1.0 - z * z) * inv + 1.0
 
 
-#: Kernel tag -> (kernel, whether the route takes only the closed Bernoulli weight).
+#: Kernel tag -> (kernel, whether its weight is the closed Bernoulli
+#: polynomial of Theorem 7 rather than the Clausen sum of Theorem 6).
 _KERNEL_ROUTES = {
     RepresentationTag.THEOREM_6A: (KernelKind.SIN, False),
     RepresentationTag.THEOREM_6B: (KernelKind.COS, False),
@@ -212,9 +212,16 @@ def _variant_tag(variant: str, bernoulli: bool) -> RepresentationTag:
         raise ValueError(f"unknown variant {variant!r}") from None
 
 
-def _theorem_route(s, z, delta: float, tol: float, tag: RepresentationTag, use_bernoulli: bool = True) -> PolylogResult:
+def _theorem_route(s, z, delta: float, tol: float, tag: RepresentationTag) -> PolylogResult:
     s = complex(s)
     z = complex(z)
+    kind, closed_form = _KERNEL_ROUTES[tag]
+    channel = _KERNEL_CHANNEL[kind]
+    if closed_form and _bernoulli_parity(s) != channel:
+        parity = "odd" if channel == "sin" else "even"
+        raise UnsupportedCombinationError(f"this route needs {parity} integer order")
+    if not closed_form and s.real <= 1.0:
+        raise DomainError(f"{tag.value} requires Re s > 1, got s = {s}")
     _check_disc(z)
     if delta not in (1.0, 0.5):
         raise DomainError("delta must be 1 or 1/2")
@@ -222,11 +229,6 @@ def _theorem_route(s, z, delta: float, tol: float, tag: RepresentationTag, use_b
         # SIN/ALT kernels vanish identically; the COS kernel reduces to 1,
         # whose weight integral vanishes by the mean-value property.
         return PolylogResult(0.0 + 0.0j, 0.0, tag)
-    kind = _KERNEL_ROUTES[tag][0]
-    channel = _KERNEL_CHANNEL[kind]
-    closed_form = use_bernoulli and _bernoulli_parity(s) == channel
-    if s.real <= 1.0 and not closed_form:
-        raise DomainError(f"this representation requires Re s > 1, got s = {s}")
     wtol = tol / 10.0
     if closed_form:
         weight = _bernoulli_weight(int(s.real))
@@ -258,20 +260,19 @@ def _theorem_route(s, z, delta: float, tol: float, tag: RepresentationTag, use_b
     )
 
 
-def li_theorem_sin(s, z, delta: float = 1.0, tol: float = 1e-10, use_bernoulli: bool = True) -> PolylogResult:
+def li_theorem_sin(s, z, delta: float = 1.0, tol: float = 1e-10) -> PolylogResult:
     """Li_s(z) = (1/delta) int_0^delta S_s(2 pi t) * SIN kernel dt  (Re s > 1, |z| < 1).
 
-    At odd integer s the S_s weight collapses to its exact Bernoulli
-    polynomial (including s = 1, where the series weight is unavailable);
-    use_bernoulli=False forces the truncated-series weight instead.
+    The S_s weight is the Clausen sum at every order; at odd integer s,
+    li_bernoulli_odd takes its closed Bernoulli form instead.
     """
-    return _theorem_route(s, z, delta, tol, RepresentationTag.THEOREM_6A, use_bernoulli)
+    return _theorem_route(s, z, delta, tol, RepresentationTag.THEOREM_6A)
 
 
-def li_theorem_cos(s, z, delta: float = 1.0, variant: str = "cos", tol: float = 1e-10, use_bernoulli: bool = True) -> PolylogResult:
+def li_theorem_cos(s, z, delta: float = 1.0, variant: str = "cos", tol: float = 1e-10) -> PolylogResult:
     """Li_s(z) from the C_s weight against the COS kernel (variant 'cos')
     or the ALT kernel (variant 'alt'); the two differ by int C_s = 0."""
-    return _theorem_route(s, z, delta, tol, _variant_tag(variant, False), use_bernoulli)
+    return _theorem_route(s, z, delta, tol, _variant_tag(variant, False))
 
 
 def li_bernoulli_odd(n: int, z, delta: float = 1.0, tol: float = 1e-10) -> PolylogResult:
@@ -297,8 +298,11 @@ def _series_truncation(s: complex, z: complex, tol: float) -> tuple[int, float]:
     gap_circle = abs(1.0 - z)
     K = 16
     while K <= SERIES_TERM_CAP:
-        geo = r ** (K + 1) * (K + 1.0) ** (-sigma) / (1.0 - r)
-        bound = geo
+        # the tail sum_{k>K} |t_k| is at most |t_{K+1}| / (1 - rho): every
+        # later ratio |t_{k+1}/t_k| = r ((k+1)/k)^(-sigma) is at most rho,
+        # which at sigma < 0, where |t_k| carries k^|sigma|, is its k = K+1 value
+        rho = r * ((K + 2.0) / (K + 1.0)) ** max(0.0, -sigma)
+        bound = r ** (K + 1) * (K + 1.0) ** (-sigma) / (1.0 - rho) if rho < 1.0 else math.inf
         if sigma > 0.0 and gap_circle > 0.0:
             abel = 2.0 * abs(s) / sigma * r ** (K + 1) * K ** (-sigma) / gap_circle
             bound = min(bound, abel)
@@ -628,13 +632,9 @@ def li_eval(req: PolylogRequest) -> PolylogResult:
     series inside |z| <= 0.5, the classical integral on 0.5 < |z| < 1,
     and integer-order inversion (order 0 included) outside the disc.
 
-    A forced route is held to its hypothesis here: Re s > 1 for the
-    theorem routes, a positive integer order of matching parity for the
-    Bernoulli routes; the routes themselves check |z| < 1. At an integer
-    order whose parity matches the kernel's channel the theorem routes
-    take the same closed Bernoulli weight as the Bernoulli routes, so
-    there they are not an independent check; li_theorem_sin/cos with
-    use_bernoulli=False are."""
+    A forced route keeps its own hypothesis: Re s > 1 for the theorem
+    routes, which sum the Clausen weight at every order, and a positive
+    integer order of matching parity for the Bernoulli routes."""
     s = complex(req.s)
     z = complex(req.z)
     tag = req.representation
@@ -647,13 +647,6 @@ def li_eval(req: PolylogRequest) -> PolylogResult:
     if tag is RepresentationTag.CLASSICAL_LOG:
         return li_integral_classical(s, z, req.tol, form="log")
     if tag in _KERNEL_ROUTES:
-        kind, bernoulli = _KERNEL_ROUTES[tag]
-        channel = _KERNEL_CHANNEL[kind]
-        if not bernoulli and s.real <= 1.0:
-            raise DomainError(f"{tag.value} requires Re s > 1, got s = {s}")
-        if bernoulli and _bernoulli_parity(s) != channel:
-            parity = "odd" if channel == "sin" else "even"
-            raise UnsupportedCombinationError(f"this route needs {parity} integer order")
         return _theorem_route(s, z, req.delta, req.tol, tag)
     if tag is RepresentationTag.INVERSION_INT:
         if not _is_nonneg_integer(s):

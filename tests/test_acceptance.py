@@ -121,13 +121,11 @@ def test_criterion_3_bernoulli_weights_equal_theorem():
                 # closed form -log(1-z) takes the theorem side's place
                 ref = -cmath.log(1.0 - z)
             else:
-                ref = li_theorem_sin(s_odd, z, tol=1e-9, use_bernoulli=False).value
+                ref = li_theorem_sin(s_odd, z, tol=1e-9).value
             worst = max(worst, abs(odd - ref))
             for variant in ("cos", "alt"):
                 even = li_bernoulli_even(n, z, variant=variant, tol=1e-9).value
-                ref = li_theorem_cos(
-                    s_even, z, variant=variant, tol=1e-9, use_bernoulli=False
-                ).value
+                ref = li_theorem_cos(s_even, z, variant=variant, tol=1e-9).value
                 worst = max(worst, abs(even - ref))
     ok = worst <= 1e-8
     _report(3, "integer-order specialisation", ok, f"worst |dev| {worst:.2e}")

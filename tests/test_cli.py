@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,3 +279,14 @@ class TestMachineOutputPurity:
         lines = capsys.readouterr().out.splitlines()
         header_cols = lines[0].count(",")
         assert all(line.count(",") == header_cols for line in lines)
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("lirep ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_examples_succeed(argv, capsys):
+    assert main(argv) == 0

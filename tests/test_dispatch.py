@@ -55,8 +55,8 @@ def test_forced_route_tag_is_reported():
 def test_forced_route_preconditions_propagate():
     with pytest.raises(DomainError):
         li_eval(PolylogRequest(s=0.5, z=0.3, representation=RepresentationTag.THEOREM_6B))
-    # li_eval holds every theorem route to Re s > 1, also at s = 1 where
-    # li_theorem_sin itself still takes the closed B_1 weight.
+    # every theorem route needs Re s > 1, also at s = 1, where only the
+    # closed B_1 weight of bernoulli7a exists
     with pytest.raises(DomainError, match=r"Re s > 1"):
         li_eval(PolylogRequest(s=1, z=0.3, representation=RepresentationTag.THEOREM_6A))
 
@@ -98,6 +98,8 @@ def test_request_validation():
     with pytest.raises(DomainError):
         PolylogRequest(s=2, z=0.3, tol=0.0)
     nan, inf = float("nan"), float("inf")
+    with pytest.raises(DomainError, match="got nan"):
+        PolylogRequest(s=2, z=0.3, tol=nan)
     for s, z in ((2, complex(0.3, inf)), (2, nan), (nan, 0.3), (complex(2, inf), 0.3)):
         with pytest.raises(DomainError, match="finite"):
             PolylogRequest(s=s, z=z)

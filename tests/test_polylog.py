@@ -6,10 +6,12 @@ import pytest
 
 from lirep import (
     DomainError,
+    PolylogRequest,
     RepresentationTag,
     ResourceLimitError,
     li_bernoulli_even,
     li_bernoulli_odd,
+    li_eval,
     li_integral_classical,
     li_series,
     li_theorem_cos,
@@ -78,6 +80,21 @@ class TestSeries:
                 ref, ref_err = _li_reference(s, z)
                 allowed = res.error_estimate + ref_err + 8 * EPS * max(1.0, abs(ref))
                 assert abs(res.value - ref) <= allowed, (s, z)
+
+    @pytest.mark.parametrize(
+        "s,z",
+        [
+            (-1.258, 0.5999 - 0.0133j),
+            (-1.87 - 2.42j, 0.599 + 0.031j),
+        ],
+    )
+    def test_tail_bound_holds_for_growing_terms(self, s, z):
+        # at Re s < 0 |t_k| = r^k k^|Re s| shrinks slower than r^k: a tail
+        # bound with ratio r fell 2-3% short of the error at these points
+        res = li_series(s, z)
+        ref, ref_err = _li_reference(s, z)
+        allowed = res.error_estimate + ref_err + 8 * EPS * max(1.0, abs(ref))
+        assert abs(res.value - ref) <= allowed
 
     def test_angle_reduced_before_rounding(self):
         # Rounding k Im(log z) costs eps k |Im log z| per term: over the
@@ -194,16 +211,46 @@ class TestTheoremRoutes:
         with pytest.raises(DomainError):
             li_theorem_sin(0.5, 0.3)
         with pytest.raises(DomainError):
-            li_theorem_cos(1.0, 0.3)  # cos channel has no s=1 closed form
+            li_theorem_cos(1.0, 0.3)
+        with pytest.raises(DomainError, match="Re s > 1"):
+            li_theorem_sin(1.0, 0.3)
 
     def test_s_equal_one_closed_form_weight(self):
         # the sin-channel weight at s=1 is exactly pi(1/2 - t); the route
         # must then reproduce -log(1-z)
         for z in (0.5, -0.7, 0.3 + 0.4j):
-            r = li_theorem_sin(1.0, z, tol=1e-9)
+            r = li_bernoulli_odd(1, z, tol=1e-9)
             import cmath
 
             assert r.value == pytest.approx(-cmath.log(1.0 - z), abs=1e-9)
+
+    def test_integer_order_independent_of_bernoulli_route(self):
+        # at odd integer order the theorem route still sums the Clausen
+        # weight, so it checks the closed B_3 weight rather than repeating it
+        ref = li_series(3, 0.4, tol=1e-12).value
+        a = li_theorem_sin(3, 0.4)
+        b = li_bernoulli_odd(2, 0.4)
+        assert abs(a.value - ref) <= 1e-9
+        assert abs(b.value - ref) <= 1e-9
+        assert a.value != b.value
+
+    @pytest.mark.parametrize(
+        "tag,s,z",
+        [
+            ("theorem6a", 2.00001, -0.6 + 0.2j),
+            ("theorem6b", 3 - 1e-7, 0.9),
+            ("theorem6c", 3 - 1e-7, 0.9),
+            ("theorem6b", 3 + 3e-8, 0.3 + 0.4j),
+        ],
+    )
+    def test_near_integer_order_weights(self, tag, s, z):
+        # next to an integer order the Hurwitz reflection loses digits as
+        # 1/|sin(pi s/2)| or 1/|cos(pi s/2)|: the weight chooser must keep
+        # the series for nodes it can still afford there
+        ref = li_series(s, z, tol=1e-14).value
+        r = li_eval(PolylogRequest(s=s, z=z, representation=RepresentationTag(tag), tol=1e-10))
+        assert r.converged
+        assert abs(r.value - ref) <= min(r.error_estimate, 1e-10)
 
     def test_near_circle_peak_split(self):
         s, z = 2.5, 0.97
