@@ -22,7 +22,7 @@ TWO_PI = 2.0 * math.pi
 print("Clausen cross-checks at x = 2*pi*0.3")
 x = TWO_PI * 0.3
 for s in (2.5, 3.5):
-    d = clausen_direct(s, x, tol=1e-12, use_bernoulli=False)
+    d = clausen_direct(s, x, tol=1e-12)
     h = clausen_via_hurwitz(s, 0.3)
     print(f"  s={s}: series S={d.sin_part.real:.12f}  reflection S={h.sin_part.real:.12f}"
           f"  |dev|={abs(d.sin_part - h.sin_part):.1e}")
@@ -30,7 +30,7 @@ for s in (2.5, 3.5):
 print("\nInteger orders collapse to Bernoulli polynomials:")
 for order, channel in ((2, "cos"), (3, "sin"), (4, "cos")):
     closed = clausen_bernoulli(channel, order, x)
-    d = clausen_direct(float(order), x, tol=1e-12, use_bernoulli=False)
+    d = clausen_direct(float(order), x, tol=1e-12)
     series = d.sin_part.real if channel == "sin" else d.cos_part.real
     print(f"  {channel.upper()}_{order}: closed {closed:.12f}  series {series:.12f}")
 

@@ -39,7 +39,7 @@ class BernoulliTable:
         return float(self.values[n])
 
 
-def bernoulli_numbers(n_max: int, cap: int = BERNOULLI_CAP) -> BernoulliTable:
+def bernoulli_numbers(n_max: int) -> BernoulliTable:
     """B_0..B_n_max as exact rationals via the binomial recurrence.
 
     The recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0 (n >= 1) is solved for
@@ -47,8 +47,8 @@ def bernoulli_numbers(n_max: int, cap: int = BERNOULLI_CAP) -> BernoulliTable:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if n_max > cap:
-        raise ResourceLimitError(f"n_max={n_max} exceeds the Bernoulli cap {cap}")
+    if n_max > BERNOULLI_CAP:
+        raise ResourceLimitError(f"n_max={n_max} exceeds the Bernoulli cap {BERNOULLI_CAP}")
     values = [Fraction(1)]
     for n in range(1, n_max + 1):
         acc = Fraction(0)

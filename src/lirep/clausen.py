@@ -217,25 +217,12 @@ def clausen_bernoulli(channel: str, order: int, x: float) -> float:
     return _bernoulli_weight(order)(x / TWO_PI)
 
 
-def clausen_direct(s, x: float, tol: float = 1e-12, use_bernoulli: bool = True) -> ClausenValue:
-    """S_s(x) and C_s(x) for Re s > 1 by direct summation.
-
-    Each part is within `tol` absolutely. When s is a real integer whose
-    parity admits it and `use_bernoulli` is set, that part is delegated to
-    the exact closed form (pass use_bernoulli=False to force the raw series
-    on both parts, e.g. for cross-checks).
-    """
+def clausen_direct(s, x: float, tol: float = 1e-12) -> ClausenValue:
+    """S_s(x) and C_s(x) for Re s > 1 by direct summation, each part within tol."""
     s = complex(s)
     if s.real <= 1.0:
         raise DomainError(f"clausen_direct requires Re s > 1, got {s}")
-    # an explicit raw-series request (cross-check paths) must not be
-    # silently rerouted through the reflection
-    sin_part, cos_part = (_pair_cheapest if use_bernoulli else _series_pair)(s, x, tol)
-    parity = _bernoulli_parity(s) if use_bernoulli else None
-    if parity == "sin":
-        sin_part = complex(clausen_bernoulli("sin", int(s.real), x % TWO_PI))
-    elif parity == "cos":
-        cos_part = complex(clausen_bernoulli("cos", int(s.real), x % TWO_PI))
+    sin_part, cos_part = _series_pair(s, x, tol)
     return ClausenValue(sin_part=sin_part, cos_part=cos_part, s=s, x=x)
 
 

@@ -73,17 +73,21 @@ def cmd_eval(args) -> int:
     else:
         reps = [RepresentationTag(args.rep)]
     rows = []
+    exhausted = False
     # li_eval owns every route's domain rules; --rep all keeps the routes
-    # that accept (s, z).
+    # that accept (s, z) and names on stderr those that ran out of budget.
     for rep in reps:
         try:
             rows.append(
                 li_eval(PolylogRequest(s=s, z=z, representation=rep, delta=args.delta, tol=args.tol))
             )
-        except LirepError:
+        except LirepError as exc:
             if args.rep != "all":
                 raise
-    if not rows:
+            if isinstance(exc, ResourceLimitError):
+                print(f"error: {rep.value}: {exc}", file=sys.stderr)
+                exhausted = True
+    if not rows and not exhausted:
         raise DomainError("no applicable representation for this (s, z)")
     all_converged = all(r.converged for r in rows)
     if args.format == "json":
@@ -113,7 +117,7 @@ def cmd_eval(args) -> int:
             print(f"  value          : {format_complex(r.value)}")
             print(f"  error_estimate : {r.error_estimate:.3e}")
             print(f"  converged      : {r.converged}")
-    return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if all_converged and not exhausted else EXIT_NO_CONVERGENCE
 
 
 def cmd_crosscheck(args) -> int:

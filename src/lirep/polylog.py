@@ -71,8 +71,7 @@ class PolylogRequest:
     def __post_init__(self):
         if not (cmath.isfinite(complex(self.s)) and cmath.isfinite(complex(self.z))):
             raise DomainError(f"s and z must be finite, got s = {self.s}, z = {self.z}")
-        if self.delta not in (1.0, 0.5):
-            raise DomainError("delta must be 1 or 1/2")
+        _check_delta(self.delta)
         _check_tol(self.tol)
 
 
@@ -91,6 +90,11 @@ class PolylogResult:
 def _check_disc(z: complex) -> None:
     if abs(z) >= 1.0:
         raise DomainError(f"this representation requires |z| < 1, got |z| = {abs(z):g}")
+
+
+def _check_delta(delta: float) -> None:
+    if delta not in (1.0, 0.5):
+        raise DomainError("delta must be 1 or 1/2")
 
 
 def kernel(kind: KernelKind, z, t):
@@ -213,6 +217,7 @@ def _variant_tag(variant: str, bernoulli: bool) -> RepresentationTag:
 
 
 def _theorem_route(s, z, delta: float, tol: float, tag: RepresentationTag) -> PolylogResult:
+    _check_tol(tol)
     s = complex(s)
     z = complex(z)
     kind, closed_form = _KERNEL_ROUTES[tag]
@@ -223,8 +228,7 @@ def _theorem_route(s, z, delta: float, tol: float, tag: RepresentationTag) -> Po
     if not closed_form and s.real <= 1.0:
         raise DomainError(f"{tag.value} requires Re s > 1, got s = {s}")
     _check_disc(z)
-    if delta not in (1.0, 0.5):
-        raise DomainError("delta must be 1 or 1/2")
+    _check_delta(delta)
     if z == 0.0:
         # SIN/ALT kernels vanish identically; the COS kernel reduces to 1,
         # whose weight integral vanishes by the mean-value property.
@@ -360,6 +364,7 @@ def li_series(s, z, tol: float = 1e-10) -> PolylogResult:
     and below _REDUCE_FROM terms eps/2 |Im w| sum k |t_k| for the rounded
     angles.
     """
+    _check_tol(tol)
     s = complex(s)
     z = complex(z)
     _check_disc(z)
@@ -418,6 +423,7 @@ def li_integral_classical(s, z, tol: float = 1e-10, form: str = "exp") -> Polylo
     where floats are dense: log(1/u) does not round to 0 near u = 1
     (0^{s-1} is NaN at Re s < 1).
     """
+    _check_tol(tol)
     s = complex(s)
     z = complex(z)
     if s.real <= 0.0:
@@ -478,8 +484,7 @@ def li_integral_classical(s, z, tol: float = 1e-10, form: str = "exp") -> Polylo
 def _zeta_odd(kind: str, n: int, delta: float, tol: float) -> tuple[float, QuadratureResult]:
     if n < 1:
         raise DomainError("n must be >= 1")
-    if delta not in (1.0, 0.5):
-        raise DomainError("delta must be 1 or 1/2")
+    _check_delta(delta)
     _check_tol(tol)  # before it is scaled, so that a message names the caller's tol
     pref = _bernoulli_scale(2 * n + 1) / delta
     if kind == "tan":
@@ -521,6 +526,7 @@ def lemma_integral(
         raise DomainError("n must be >= 1")
     z = complex(z)
     _check_disc(z)
+    _check_delta(delta)
     trig = np.cos if channel == "cos" else np.sin
 
     def integrand(t):
@@ -546,6 +552,7 @@ def lemma_expected(channel: str, kind: KernelKind, n: int, z, delta: float = 1.0
     """
     z = complex(z)
     _check_disc(z)
+    _check_delta(delta)
     if channel == _KERNEL_CHANNEL[kind]:
         return delta * z**n
     if delta == 1.0:
@@ -580,6 +587,7 @@ def li_inversion_integer(n: int, z, tol: float = 1e-10) -> PolylogResult:
     correct in the lower half plane where the naive principal log z would
     land on the wrong Bernoulli-polynomial period.
     """
+    _check_tol(tol)
     if n < 0:
         raise DomainError("order must be a nonnegative integer")
     z = complex(z)

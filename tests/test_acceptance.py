@@ -178,14 +178,14 @@ def test_criterion_6_clausen_consistency():
             if order == 1:
                 ref = clausen_s1(x, tail_terms=400_000)
             else:
-                v = clausen_direct(float(order), x, tol=1e-11, use_bernoulli=False)
+                v = clausen_direct(float(order), x, tol=1e-11)
                 ref = v.sin_part.real if channel == "sin" else v.cos_part.real
             worst_bern = max(worst_bern, abs(closed - ref))
     worst_hz = 0.0
     for s in (2.5, 3.5, 2 + 0.7j):
         for t in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
             h = clausen_via_hurwitz(s, t)
-            d = clausen_direct(s, TWO_PI * t, tol=1e-11, use_bernoulli=False)
+            d = clausen_direct(s, TWO_PI * t, tol=1e-11)
             worst_hz = max(worst_hz, abs(h.sin_part - d.sin_part))
             worst_hz = max(worst_hz, abs(h.cos_part - d.cos_part))
     ok = worst_bern <= 1e-9 and worst_hz <= 1e-8

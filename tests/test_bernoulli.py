@@ -46,7 +46,6 @@ def test_matches_akiyama_tanigawa():
 def test_cap_enforced():
     with pytest.raises(ResourceLimitError):
         bernoulli_numbers(BERNOULLI_CAP + 1)
-    bernoulli_numbers(300, cap=300)  # explicit cap override works
 
 
 def test_shared_table_grows_up_to_the_cap(monkeypatch):

@@ -17,6 +17,7 @@ from lirep.clausen import (
     _CHUNK,
     _POWER_CAP,
     _REFLECTION_THRESHOLD,
+    _pair_cheapest,
     _planned_terms,
     _series_pair,
     _truncation_index,
@@ -43,7 +44,7 @@ class TestClausenDirect:
         assert v.sin_part.real == pytest.approx(ref, abs=1e-11)
 
     def test_raw_series_matches_brute_force(self):
-        v = clausen_direct(2.5, 1.9, tol=1e-11, use_bernoulli=False)
+        v = clausen_direct(2.5, 1.9, tol=1e-11)
         assert v.sin_part.real == pytest.approx(clausen_s_brute(2.5, 1.9), abs=1e-9)
         assert v.cos_part.real == pytest.approx(clausen_c_brute(2.5, 1.9), abs=1e-9)
 
@@ -63,18 +64,27 @@ class TestClausenDirect:
         assert c.cos_part == pytest.approx(a.cos_part, abs=1e-10)
 
     def test_real_for_real_order(self):
-        v = clausen_direct(3.3, 2.2, use_bernoulli=False)
+        v = clausen_direct(3.3, 2.2)
         assert v.sin_part.imag == 0.0
         assert v.cos_part.imag == 0.0
 
     def test_series_where_reflection_excluded(self):
         # past the reflection threshold, but within the exclusion window of
         # order 2: the weight falls back to the series, with no exception
-        for s in (2 + 1e-9, 2 + 1e-9j):
-            assert _planned_terms(complex(s), math.sin(0.015), 1e-10) > _REFLECTION_THRESHOLD
-            v = clausen_direct(s, 0.03, tol=1e-10)
-            raw = clausen_direct(s, 0.03, tol=1e-10, use_bernoulli=False)
-            assert (v.sin_part, v.cos_part) == (raw.sin_part, raw.cos_part)
+        for s in (2 + 1e-9 + 0j, 2 + 1e-9j):
+            assert _planned_terms(s, math.sin(0.015), 1e-10) > _REFLECTION_THRESHOLD
+            assert _pair_cheapest(s, 0.03, 1e-10) == _series_pair(s, 0.03, 1e-10)
+
+    def test_direct_is_the_series_past_the_reflection_threshold(self):
+        # 1.74e6 planned terms, where the node cache takes the reflection:
+        # clausen_direct still sums the series, so the two stay independent
+        s, x, tol = 2.5 + 0j, 1e-3, 1e-12
+        assert _planned_terms(s, math.sin(0.5 * x), tol) > _REFLECTION_THRESHOLD
+        v = clausen_direct(s, x, tol)
+        assert (v.sin_part, v.cos_part) == _series_pair(s, x, tol)
+        h = clausen_via_hurwitz(s, x / TWO_PI)
+        assert abs(v.sin_part - h.sin_part) <= 1e-11
+        assert abs(v.cos_part - h.cos_part) <= 1e-11
 
 
 def _plain_series(s: complex, x: float, terms: int) -> tuple[complex, complex]:
@@ -156,7 +166,7 @@ class TestClausenBernoulli:
                 ref = clausen_s1(x)
                 assert closed == pytest.approx(ref, abs=2e-9)
             else:
-                v = clausen_direct(float(order), x, tol=1e-10, use_bernoulli=False)
+                v = clausen_direct(float(order), x, tol=1e-10)
                 ref = v.sin_part.real if channel == "sin" else v.cos_part.real
                 assert closed == pytest.approx(ref, abs=1e-9)
 
@@ -166,7 +176,7 @@ class TestClausenViaHurwitz:
         for s in (2.5, 3.5, 2 + 0.7j):
             for t in (0.1, 0.3, 0.5, 0.7, 0.9):
                 h = clausen_via_hurwitz(s, t)
-                d = clausen_direct(s, TWO_PI * t, tol=1e-11, use_bernoulli=False)
+                d = clausen_direct(s, TWO_PI * t, tol=1e-11)
                 assert h.sin_part == pytest.approx(d.sin_part, abs=1e-9)
                 assert h.cos_part == pytest.approx(d.cos_part, abs=1e-9)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lirep import PolylogRequest, li_eval
+from lirep import PolylogRequest, RepresentationTag, ResourceLimitError, li_eval
 from lirep.cli import format_complex, main, parse_complex
 
 
@@ -123,6 +123,23 @@ class TestEval:
         assert code == 0
         assert {r["route"] for r in rows} == {"series", "classical-exp", "classical-log"}
         assert all(r["converged"] for r in rows)
+
+    def test_rep_all_names_an_exhausted_route(self, capsys, monkeypatch):
+        import lirep.cli as cli_mod
+
+        def theorem6a_exhausted(req):
+            if req.representation is RepresentationTag.THEOREM_6A:
+                raise ResourceLimitError("Clausen series needs K~4e+07 terms")
+            return li_eval(req)
+
+        monkeypatch.setattr(cli_mod, "li_eval", theorem6a_exhausted)
+        code = main(["eval", "--s", "3", "--z", "0.4", "--rep", "all", "--format", "json", "--tol", "1e-8"])
+        captured = capsys.readouterr()
+        assert code == 3
+        routes = {r["route"] for r in json.loads(captured.out)}
+        assert "theorem6a" not in routes
+        assert {"series", "theorem6b", "bernoulli7a"} <= routes
+        assert "theorem6a" in captured.err and "K~4e+07" in captured.err
 
     def test_nonconvergence_exit_code(self, capsys, monkeypatch):
         import lirep.cli as cli_mod

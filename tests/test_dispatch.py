@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from lirep import (
@@ -8,6 +10,8 @@ from lirep import (
     li_bernoulli_even,
     li_bernoulli_odd,
     li_eval,
+    li_integral_classical,
+    li_inversion_integer,
     li_series,
     li_theorem_cos,
     li_theorem_sin,
@@ -109,3 +113,25 @@ def test_delta_passed_through():
     a = li_eval(PolylogRequest(s=2.5, z=0.4, representation=RepresentationTag.THEOREM_6A, delta=0.5))
     b = li_eval(PolylogRequest(s=2.5, z=0.4, representation=RepresentationTag.THEOREM_6A, delta=1.0))
     assert a.value == pytest.approx(b.value, abs=2e-10)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda tol: li_series(2.5, 0.3, tol=tol),
+        lambda tol: li_integral_classical(2.5, 0.3, tol=tol, form="exp"),
+        lambda tol: li_integral_classical(2.5, 0.3, tol=tol, form="log"),
+        lambda tol: li_inversion_integer(3, 2.0 + 1.0j, tol=tol),
+        lambda tol: li_theorem_sin(2.5, 0.3, tol=tol),
+        lambda tol: li_theorem_cos(2.5, 0.3, variant="alt", tol=tol),
+        lambda tol: li_bernoulli_odd(2, 0.3, tol=tol),
+    ],
+    ids=[
+        "series", "classical-exp", "classical-log", "inversion-int", "theorem6a", "theorem6c", "bernoulli7a",
+    ],
+)
+def test_bad_tolerance_named_as_given(route, tol):
+    # every route rejects the caller's tol before scaling it or planning terms
+    with pytest.raises(DomainError, match=re.escape(f"got {tol}")):
+        route(tol)

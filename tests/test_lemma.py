@@ -87,3 +87,13 @@ def test_domain():
         lemma_integral("sin", KernelKind.ALT, 1, 0.5)
     with pytest.raises(DomainError):
         lemma_integral("sin", KernelKind.SIN, 0, 0.5)
+
+
+@pytest.mark.parametrize("delta", [0.7, 2.0])
+def test_delta_outside_the_two_periods_rejected(delta):
+    # the moment identities hold over the full and the half period only
+    z = 0.5 + 0.2j
+    with pytest.raises(DomainError, match="delta must be 1 or 1/2"):
+        lemma_integral("cos", KernelKind.SIN, 2, z, delta)
+    with pytest.raises(DomainError, match="delta must be 1 or 1/2"):
+        lemma_expected("cos", KernelKind.SIN, 2, z, delta)
