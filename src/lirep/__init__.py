@@ -9,7 +9,6 @@ limits at z -> +-1.
 
 from .bernoulli import (
     BERNOULLI_CAP,
-    BernoulliTable,
     bernoulli_number,
     bernoulli_numbers,
     bernoulli_poly,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BERNOULLI_CAP",
-    "BernoulliTable",
     "ClausenValue",
     "DomainError",
     "ExclusionError",

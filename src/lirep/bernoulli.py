@@ -7,9 +7,9 @@ which keeps the polynomial coefficients exact for any index the cap allows.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ResourceLimitError
@@ -18,73 +18,49 @@ from .errors import ResourceLimitError
 #: overflow binary64 a little above 256, so the cap doubles as an overflow guard.
 BERNOULLI_CAP = 256
 
-
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Immutable table of exact Bernoulli numbers B_0..B_max_index."""
-
-    values: tuple[Fraction, ...]
-
-    @property
-    def max_index(self) -> int:
-        return len(self.values) - 1
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.values[n]
-
-    def as_float(self, n: int) -> float:
-        return float(self.values[n])
-
-
-def bernoulli_numbers(n_max: int) -> BernoulliTable:
-    """B_0..B_n_max as exact rationals via the binomial recurrence.
-
-    The recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0 (n >= 1) is solved for
-    B_n term by term, entirely in Fraction arithmetic.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if n_max > BERNOULLI_CAP:
-        raise ResourceLimitError(f"n_max={n_max} exceeds the Bernoulli cap {BERNOULLI_CAP}")
-    values = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for j in range(n):
-            acc += math.comb(n + 1, j) * values[j]
-        values.append(-acc / (n + 1))
-    return BernoulliTable(tuple(values))
-
-
 _lock = threading.Lock()
-_shared: BernoulliTable = bernoulli_numbers(32)
-_poly_coeffs: dict[int, tuple[float, ...]] = {}
-
-
-def _table_upto(n: int) -> BernoulliTable:
-    global _shared
-    if n > _shared.max_index:
-        with _lock:
-            if n > _shared.max_index:
-                _shared = bernoulli_numbers(max(n, min(2 * _shared.max_index, BERNOULLI_CAP)))
-    return _shared
+#: B_0..B_{len-1}, shared by every caller; only bernoulli_number appends,
+#: under _lock, so each B_k is computed once per process.
+_values: list[Fraction] = [Fraction(1)]
 
 
 def bernoulli_number(n: int) -> Fraction:
-    """B_n from a shared, lazily grown table."""
-    return _table_upto(n)[n]
+    """B_n as an exact rational, from the binomial recurrence.
+
+    The recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0 (k >= 1) is solved for
+    B_k term by term, entirely in Fraction arithmetic, for every k the
+    shared list does not hold yet.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n > BERNOULLI_CAP:
+        raise ResourceLimitError(f"n_max={n} exceeds the Bernoulli cap {BERNOULLI_CAP}")
+    if n >= len(_values):
+        with _lock:
+            for k in range(len(_values), n + 1):
+                acc = Fraction(0)
+                for j in range(k):
+                    acc += math.comb(k + 1, j) * _values[j]
+                _values.append(-acc / (k + 1))
+    return _values[n]
 
 
+def bernoulli_numbers(n_max: int) -> tuple[Fraction, ...]:
+    """B_0..B_n_max as exact rationals."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    bernoulli_number(n_max)
+    return tuple(_values[: n_max + 1])
+
+
+@functools.cache
 def _poly_coefficients(n: int) -> tuple[float, ...]:
-    """Float coefficients of B_n(x) in descending powers of x."""
-    coeffs = _poly_coeffs.get(n)
-    if coeffs is None:
-        table = _table_upto(n)
-        coeffs = tuple(float(Fraction(math.comb(n, k)) * table[k]) for k in range(n + 1))
-        _poly_coeffs[n] = coeffs
-    return coeffs
+    """Float coefficients of B_n(x) in descending powers of x.
+
+    B_0..B_n are fetched first, so that past the cap the cap's error comes
+    before float(C(n, k) B_k) overflows, as it does from n = 259.
+    """
+    return tuple(float(math.comb(n, k) * b) for k, b in enumerate(bernoulli_numbers(n)))
 
 
 def bernoulli_poly(n: int, x):

@@ -25,6 +25,7 @@ from .polylog import (
     li_eval,
     li_series,
 )
+from .quadrature import _check_tol
 from .special import riemann_zeta
 
 EXIT_OK = 0
@@ -102,7 +103,7 @@ def cmd_eval(args) -> int:
             }
             for r in rows
         ]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload))
+        print(json.dumps(payload if args.rep == "all" else payload[0]))
     elif args.format == "csv":
         print("s,z,route,value_re,value_im,error_estimate,converged")
         for r in rows:
@@ -133,6 +134,7 @@ def cmd_crosscheck(args) -> int:
     ]
     for z in grid:
         _check_disc(z)
+    _check_tol(args.tol)  # before it is scaled, so that a message names the caller's tol
     rows = []
     max_dev = 0.0
     all_converged = True

@@ -69,8 +69,7 @@ class PolylogRequest:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not (cmath.isfinite(complex(self.s)) and cmath.isfinite(complex(self.z))):
-            raise DomainError(f"s and z must be finite, got s = {self.s}, z = {self.z}")
+        _check_finite(self.s, self.z)
         _check_delta(self.delta)
         _check_tol(self.tol)
 
@@ -87,8 +86,13 @@ class PolylogResult:
         return self.quadrature.converged if self.quadrature is not None else True
 
 
+def _check_finite(s, z) -> None:
+    if not (cmath.isfinite(complex(s)) and cmath.isfinite(complex(z))):
+        raise DomainError(f"s and z must be finite, got s = {s}, z = {z}")
+
+
 def _check_disc(z: complex) -> None:
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:  # NaN fails it too
         raise DomainError(f"this representation requires |z| < 1, got |z| = {abs(z):g}")
 
 
@@ -218,6 +222,7 @@ def _variant_tag(variant: str, bernoulli: bool) -> RepresentationTag:
 
 def _theorem_route(s, z, delta: float, tol: float, tag: RepresentationTag) -> PolylogResult:
     _check_tol(tol)
+    _check_finite(s, z)
     s = complex(s)
     z = complex(z)
     kind, closed_form = _KERNEL_ROUTES[tag]
@@ -365,6 +370,7 @@ def li_series(s, z, tol: float = 1e-10) -> PolylogResult:
     angles.
     """
     _check_tol(tol)
+    _check_finite(s, z)
     s = complex(s)
     z = complex(z)
     _check_disc(z)
@@ -424,6 +430,7 @@ def li_integral_classical(s, z, tol: float = 1e-10, form: str = "exp") -> Polylo
     (0^{s-1} is NaN at Re s < 1).
     """
     _check_tol(tol)
+    _check_finite(s, z)
     s = complex(s)
     z = complex(z)
     if s.real <= 0.0:
@@ -509,6 +516,15 @@ def zeta_odd_tan(n: int, delta: float = 1.0, tol: float = 1e-10) -> float:
 # ---------------------------------------------------------------------------
 # Trigonometric-moment oracle for the kernels.
 
+def _check_moment(channel: str, kind: KernelKind, n: int) -> None:
+    if kind not in (KernelKind.SIN, KernelKind.COS):
+        raise DomainError("the moment identities cover the SIN and COS kernels")
+    if channel not in ("cos", "sin"):
+        raise ValueError(f"unknown channel {channel!r}")
+    if n < 1:
+        raise DomainError("n must be >= 1")
+
+
 def lemma_integral(
     channel: str,
     kind: KernelKind,
@@ -518,12 +534,7 @@ def lemma_integral(
     tol: float = 1e-11,
 ) -> complex:
     """int_0^delta {cos | sin}(2 pi n t) * kernel(z, t) dt by quadrature."""
-    if kind not in (KernelKind.SIN, KernelKind.COS):
-        raise DomainError("the moment identities cover the SIN and COS kernels")
-    if channel not in ("cos", "sin"):
-        raise ValueError(f"unknown channel {channel!r}")
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _check_moment(channel, kind, n)
     z = complex(z)
     _check_disc(z)
     _check_delta(delta)
@@ -550,6 +561,7 @@ def lemma_expected(channel: str, kind: KernelKind, n: int, z, delta: float = 1.0
       int_0^{1/2} sin(2 pi n t) COS kernel dt = [n odd]/(pi n)
                                         + (2n/pi) sum_{m+n odd} z^m/(n^2-m^2)
     """
+    _check_moment(channel, kind, n)
     z = complex(z)
     _check_disc(z)
     _check_delta(delta)
@@ -588,6 +600,7 @@ def li_inversion_integer(n: int, z, tol: float = 1e-10) -> PolylogResult:
     land on the wrong Bernoulli-polynomial period.
     """
     _check_tol(tol)
+    _check_finite(n, z)
     if n < 0:
         raise DomainError("order must be a nonnegative integer")
     z = complex(z)

@@ -22,7 +22,7 @@ def test_first_values():
 
 
 def test_single_entry_table():
-    assert bernoulli_numbers(0).values == (Fraction(1),)
+    assert bernoulli_numbers(0) == (Fraction(1),)
 
 
 def test_odd_indices_vanish():
@@ -40,7 +40,7 @@ def test_recurrence_exact_to_64():
 
 def test_matches_akiyama_tanigawa():
     table = bernoulli_numbers(30)
-    assert list(table.values) == bernoulli_exact(30)
+    assert list(table) == bernoulli_exact(30)
 
 
 def test_cap_enforced():
@@ -49,13 +49,24 @@ def test_cap_enforced():
 
 
 def test_shared_table_grows_up_to_the_cap(monkeypatch):
-    # from the import-time table (B_0..B_32): after B_150, doubling for
-    # B_200 would ask for 300 entries, past the cap
-    monkeypatch.setattr(bernoulli_mod, "_shared", bernoulli_numbers(32))
+    # from a fresh list: B_150, then B_200 on top of it, then past the cap
+    monkeypatch.setattr(bernoulli_mod, "_values", [Fraction(1)])
     bernoulli_number(150)
     assert bernoulli_number(200) == bernoulli_numbers(200)[200]
     with pytest.raises(ResourceLimitError):
         bernoulli_number(BERNOULLI_CAP + 1)
+
+
+def test_poly_past_the_cap_names_the_cap():
+    # float(C(300, k) B_k) overflows at some k below the cap; the cap error
+    # must come first
+    with pytest.raises(ResourceLimitError, match="Bernoulli cap"):
+        bernoulli_poly(300, 0.5)
+
+
+def test_negative_index_rejected():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        bernoulli_number(-1)
 
 
 def test_poly_degree_zero():

@@ -124,6 +124,14 @@ class TestEval:
         assert {r["route"] for r in rows} == {"series", "classical-exp", "classical-log"}
         assert all(r["converged"] for r in rows)
 
+    def test_rep_all_json_is_a_list_with_one_route(self, capsys):
+        # only the series accepts Re s < 0
+        code = main(["eval", "--s=-0.5", "--z=0.3", "--rep", "all", "--format", "json"])
+        rows = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert isinstance(rows, list)
+        assert [r["route"] for r in rows] == ["series"]
+
     def test_rep_all_names_an_exhausted_route(self, capsys, monkeypatch):
         import lirep.cli as cli_mod
 
@@ -185,6 +193,16 @@ class TestCrosscheck:
         err = capsys.readouterr().err
         assert code == 2
         assert "|z| < 1" in err
+
+    def test_nan_radius_rejected(self, capsys):
+        assert main(["crosscheck", "--radii=nan", "--s-list", "2.5"]) == 2
+        assert "|z| < 1" in capsys.readouterr().err
+
+    def test_negative_tolerance_named_as_given(self, capsys):
+        # the series baseline receives tol / 10; the message must name the
+        # tolerance on the command line
+        assert main(["crosscheck", "--tol=-1", "--radii", "0.3", "--s-list", "2.5"]) == 2
+        assert "tol must be positive, got -1.0" in capsys.readouterr().err
 
     def test_mixed_radii_rejected_before_any_row(self, capsys, monkeypatch):
         import lirep.cli as cli_mod

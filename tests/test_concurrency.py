@@ -1,10 +1,14 @@
-"""Route evaluations are pure; the node cache must be safely shareable."""
+"""Route evaluations are pure; the node cache and the Bernoulli list must be
+safely shareable."""
 
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 
+import lirep.bernoulli as bn
 import lirep.clausen as cl
 import lirep.polylog as pl
 from lirep import li_series, li_theorem_cos, li_theorem_sin
@@ -82,3 +86,23 @@ def test_power_memo_shared_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial
+
+
+def test_bernoulli_list_grown_across_threads(monkeypatch):
+    """Threads that grow the shared Bernoulli list in any order leave it
+    holding the serial values, each once, with the interpreter switching
+    threads as often as it can."""
+    serial = list(bn.bernoulli_numbers(120))
+    order = list(range(121))
+    random.Random(9).shuffle(order)
+    monkeypatch.setattr(bn, "_values", [Fraction(1)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(bn.bernoulli_number, n) for n in order]
+            parallel = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert bn._values == serial
+    assert parallel == [serial[n] for n in order]

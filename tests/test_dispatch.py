@@ -135,3 +135,29 @@ def test_bad_tolerance_named_as_given(route, tol):
     # every route rejects the caller's tol before scaling it or planning terms
     with pytest.raises(DomainError, match=re.escape(f"got {tol}")):
         route(tol)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), complex(float("inf"), 1.0)], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda bad: li_series(bad, 0.3),
+        lambda bad: li_series(2.5, bad),
+        lambda bad: li_integral_classical(bad, 0.3, form="exp"),
+        lambda bad: li_integral_classical(2.5, bad, form="exp"),
+        lambda bad: li_integral_classical(2.5, bad, form="log"),
+        lambda bad: li_inversion_integer(3, bad),
+        lambda bad: li_theorem_sin(bad, 0.3),
+        lambda bad: li_theorem_sin(2.5, bad),
+        lambda bad: li_theorem_cos(2.5, bad, variant="alt"),
+        lambda bad: li_bernoulli_odd(2, bad),
+    ],
+    ids=[
+        "series-s", "series-z", "classical-exp-s", "classical-exp-z", "classical-log-z",
+        "inversion-int-z", "theorem6a-s", "theorem6a-z", "theorem6c-z", "bernoulli7a-z",
+    ],
+)
+def test_nonfinite_order_or_argument_rejected(route, bad):
+    # comparisons with NaN are false, so no other domain rule can catch it
+    with pytest.raises(DomainError, match="must be finite"):
+        route(bad)

@@ -89,6 +89,17 @@ def test_domain():
         lemma_integral("sin", KernelKind.SIN, 0, 0.5)
 
 
+@pytest.mark.parametrize("moment", [lemma_integral, lemma_expected])
+def test_moment_rules_apply_to_both(moment):
+    # the exact values obey the rules of the integrals they stand for
+    with pytest.raises(ValueError, match="unknown channel"):
+        moment("foo", KernelKind.SIN, 2, 0.3)
+    with pytest.raises(DomainError, match="SIN and COS"):
+        moment("cos", KernelKind.ALT, 2, 0.3)
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        moment("cos", KernelKind.SIN, 0, 0.3, 0.5)
+
+
 @pytest.mark.parametrize("delta", [0.7, 2.0])
 def test_delta_outside_the_two_periods_rejected(delta):
     # the moment identities hold over the full and the half period only
