@@ -24,6 +24,12 @@ _lock = threading.Lock()
 _values: list[Fraction] = [Fraction(1)]
 
 
+def _check_cap(n: int) -> None:
+    """Raise the cap's ResourceLimitError for an index past BERNOULLI_CAP."""
+    if n > BERNOULLI_CAP:
+        raise ResourceLimitError(f"n_max={n} exceeds the Bernoulli cap {BERNOULLI_CAP}")
+
+
 def bernoulli_number(n: int) -> Fraction:
     """B_n as an exact rational, from the binomial recurrence.
 
@@ -33,8 +39,7 @@ def bernoulli_number(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > BERNOULLI_CAP:
-        raise ResourceLimitError(f"n_max={n} exceeds the Bernoulli cap {BERNOULLI_CAP}")
+    _check_cap(n)
     if n >= len(_values):
         with _lock:
             for k in range(len(_values), n + 1):

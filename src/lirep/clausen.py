@@ -30,7 +30,7 @@ _CHUNK = 1 << 21
 
 @dataclass(frozen=True)
 class ClausenValue:
-    """S_s(x) and C_s(x) evaluated at one (s, x) point."""
+    """S_s(x) and C_s(x) at one (s, x) point, or elementwise at an array of x."""
 
     sin_part: complex
     cos_part: complex
@@ -91,8 +91,8 @@ def _power_table(s: complex, size: int) -> np.ndarray:
     return table
 
 
-def _unit_phases(x: float, lo: int, n: int) -> np.ndarray:
-    """e^{ikx} for k = lo+n-1 down to lo, by angle addition.
+def _unit_phases(x: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """e^{ikx} for k = lo+n-1 down to lo (rows) at every node of x (columns).
 
     The range splits into blocks of b ~ sqrt(n) terms; the outer product of
     e^{i(lo + jb)x} over the block starts and e^{imx}, m < b, within a block
@@ -103,61 +103,128 @@ def _unit_phases(x: float, lo: int, n: int) -> np.ndarray:
     a = -(-n // b)
     inner = np.arange(b - 1, -1, -1, dtype=float)
     starts = np.arange(lo + (a - 1) * b, lo - 1, -b, dtype=float)
-    angles = np.concatenate((inner, starts)) * x
-    unit = np.empty(a + b, dtype=complex)
+    angles = np.multiply.outer(np.concatenate((inner, starts)), x)
+    unit = np.empty(angles.shape, dtype=complex)
     np.cos(angles, out=unit.real)
     np.sin(angles, out=unit.imag)
-    return np.multiply.outer(unit[b:], unit[:b]).ravel()[a * b - n :]
+    return (unit[b:, None] * unit[None, :b]).reshape(a * b, -1)[a * b - n :]
 
 
-def _series_pair(s: complex, x: float, tol: float) -> tuple[complex, complex]:
-    """(S_s(x), C_s(x)) by truncated summation.
+def _block_sums(coeff: np.ndarray, x: np.ndarray, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sin, cos) sums of coeff_k e^{ikx} over k = lo+n-1 down to lo, n =
+    len(coeff), at every node of x: one set of phases and one product of the
+    coefficients, as real rows (re, im), with the waves as real columns
+    (cos, sin) per node."""
+    n = len(coeff)
+    waves = _unit_phases(x, lo, n).view(float)
+    parts = np.dot(coeff.view(float).reshape(n, -1).T, waves)
+    sums = np.zeros(waves.shape[1], dtype=complex)
+    sums.real = parts[0]
+    if len(parts) == 2:
+        sums.imag = parts[1]
+    return sums[1::2], sums[0::2]
 
-    Each chunk of terms is one product of the coefficients, as real rows
-    (re, im), with the waves as real columns (cos, sin). The terms run from
-    the smallest up, which keeps the rounding of the running sum to a few
-    ulp. Series within _POWER_CAP terms read their coefficients from the
-    memo."""
-    r = math.remainder(x, TWO_PI)
-    if r == 0.0:
-        return 0.0 + 0.0j, riemann_zeta(s)
-    terms = _truncation_index(s, abs(math.sin(0.5 * r)), tol)
-    cos_sum = sin_sum = 0j
-    for lo in reversed(range(1, terms + 1, _CHUNK)):
-        n = min(_CHUNK, terms + 1 - lo)
-        if terms <= _POWER_CAP:
-            coeff = _power_table(s, max(_POWER_MIN, 1 << (terms - 1).bit_length()))[-n:]
+
+#: Series of fewer than 2^_BATCH_BITS terms share blocks of nodes, each of
+#: at most _BLOCK node-terms, so that a block's phase temporaries stay within
+#: 2^15 complex values (512 KiB). Longer series cost per term, not per call,
+#: and gain nothing from sharing a block.
+_BATCH_BITS = 11
+_BLOCK = 1 << 15
+
+
+def _series_pair(s: complex, x, tol: float):
+    """(S_s(x), C_s(x)) by truncated summation, at a scalar x or at every
+    node of an array.
+
+    Every node sums at least its own truncation index of terms, from the
+    smallest up, which keeps the rounding of the running sum to a few ulp.
+    Nodes of fewer than 2^_BATCH_BITS terms whose truncation indices have
+    the same bit length share blocks: each block is summed to its largest
+    index (less than twice any member's own) with one set of phases and
+    one BLAS product. Other nodes are summed alone, to their own index.
+    The terms go in chunks of _CHUNK, each chunk's coefficients taken once
+    for every block: from the memo while the longest series is within
+    _POWER_CAP terms, computed afresh past it."""
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    sin_sums = np.zeros(flat.shape, dtype=complex)
+    cos_sums = np.zeros(flat.shape, dtype=complex)
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for i, xi in enumerate(flat.tolist()):
+        r = math.remainder(xi, TWO_PI)
+        if r == 0.0:
+            cos_sums[i] = riemann_zeta(s)
         else:
-            coeff = _inverse_powers(s, np.arange(lo + n - 1, lo - 1, -1, dtype=float))
-        waves = _unit_phases(x, lo, n).view(float).reshape(n, 2)
-        cos_parts, sin_parts = np.dot(coeff.view(float).reshape(n, -1).T, waves).T.tolist()
-        cos_sum += complex(*cos_parts)
-        sin_sum += complex(*sin_parts)
-    return sin_sum, cos_sum
+            terms = _truncation_index(s, abs(math.sin(0.5 * r)), tol)
+            classes.setdefault(terms.bit_length(), []).append((i, terms))
+    blocks = []
+    for bits, members in classes.items():
+        size = _BLOCK >> bits if bits <= _BATCH_BITS else 1
+        for j in range(0, len(members), size):
+            idx, terms = zip(*members[j : j + size])
+            blocks.append((list(idx), max(terms)))
+    top = max((terms for _, terms in blocks), default=0)
+    for lo in reversed(range(1, top + 1, _CHUNK)):
+        rows = min(_CHUNK, top + 1 - lo)
+        if top <= _POWER_CAP:
+            coeff = _power_table(s, max(_POWER_MIN, 1 << (top - 1).bit_length()))
+        else:
+            coeff = _inverse_powers(s, np.arange(lo + rows - 1, lo - 1, -1, dtype=float))
+        for idx, terms in blocks:
+            if terms >= lo:
+                n = min(_CHUNK, terms + 1 - lo)
+                sin_part, cos_part = _block_sums(coeff[-n:], flat[idx], lo)
+                sin_sums[idx] += sin_part
+                cos_sums[idx] += cos_part
+        del coeff  # before the next chunk's
+    if xs.ndim == 0:
+        return complex(sin_sums[0]), complex(cos_sums[0])
+    return sin_sums.reshape(xs.shape), cos_sums.reshape(xs.shape)
 
 
 _REFLECTION_THRESHOLD = 1 << 20
 
 
-def _pair_cheapest(s: complex, x: float, tol: float) -> tuple[complex, complex]:
-    """(S, C) by whichever route is affordable at this point.
+def _pair_cheapest(s: complex, x, tol: float):
+    """(S, C) at a scalar x or at every node of an array, each node by
+    whichever route is affordable there.
 
-    Short series are summed directly; once the truncation index grows
+    Short series are summed directly; once a node's truncation index grows
     past a work threshold (slow decay, or x drifting toward the 2*pi
     lattice where both tail bounds explode) the O(1) Hurwitz reflection
     takes over. The reflection is unavailable only within the exclusion
-    window of integer orders; there the series is used up to its hard
-    cap, beyond which the point is genuinely out of reach.
+    window of integer orders, which depends on s alone; there every node
+    takes the series up to its hard cap, beyond which the node is genuinely
+    out of reach. Each route gets all of its nodes in one call.
     """
-    u = (x / TWO_PI) % 1.0
-    sin_half = abs(math.sin(0.5 * math.remainder(x, TWO_PI)))
-    if 0.0 < u < 1.0 and _planned_terms(s, sin_half, tol) > _REFLECTION_THRESHOLD:
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    nodes = flat.tolist()
+    u = [(xi / TWO_PI) % 1.0 for xi in nodes]
+    far = np.array(
+        [
+            0.0 < ui < 1.0
+            and _planned_terms(s, abs(math.sin(0.5 * math.remainder(xi, TWO_PI))), tol)
+            > _REFLECTION_THRESHOLD
+            for xi, ui in zip(nodes, u)
+        ],
+        dtype=bool,
+    )
+    sin_part = np.empty(flat.shape, dtype=complex)
+    cos_part = np.empty(flat.shape, dtype=complex)
+    if far.any():
         try:
-            cv = clausen_via_hurwitz(s, u)
-            return cv.sin_part, cv.cos_part
+            cv = clausen_via_hurwitz(s, np.array(u)[far])
+            sin_part[far], cos_part[far] = cv.sin_part, cv.cos_part
         except ExclusionError:
-            pass
-    return _series_pair(s, x, tol)
+            far[:] = False
+    near = ~far
+    if near.any():
+        sin_part[near], cos_part[near] = _series_pair(s, flat[near], tol)
+    if xs.ndim == 0:
+        return complex(sin_part[0]), complex(cos_part[0])
+    return sin_part.reshape(xs.shape), cos_part.reshape(xs.shape)
 
 
 def _bernoulli_parity(s: complex) -> str | None:
@@ -229,30 +296,36 @@ def clausen_direct(s, x: float, tol: float = 1e-12) -> ClausenValue:
 _EXCLUSION_WINDOW = 1e-8
 
 
-def clausen_via_hurwitz(s, t: float) -> ClausenValue:
-    """S_s(2*pi*t) and C_s(2*pi*t) through the Hurwitz zeta reflection.
+def clausen_via_hurwitz(s, t) -> ClausenValue:
+    """S_s(2*pi*t) and C_s(2*pi*t) through the Hurwitz zeta reflection, at a
+    scalar t or at every entry of an array.
 
     S picks up csc(pi s/2) against zeta(1-s, t) - zeta(1-s, 1-t), C picks
     up sec(pi s/2) against the sum. Even integer s is excluded for the sin
     part and odd integer s for the cos part (the covering closed Bernoulli
-    forms exist exactly there).
+    forms exist exactly there). Gamma(s), (2 pi)^s and the trigonometric
+    factors are taken once per call, and both zeta values of every entry
+    in one hurwitz_zeta call.
     """
     s = complex(s)
     if s.real <= 1.0:
         raise DomainError(f"clausen_via_hurwitz requires Re s > 1, got {s}")
-    if not 0.0 < t < 1.0:
+    ts = np.asarray(t, dtype=float)
+    if not np.all((0.0 < ts) & (ts < 1.0)):
         raise DomainError("t must lie strictly inside (0, 1)")
     m = round(s.real)
     if m >= 2 and abs(s - m) < _EXCLUSION_WINDOW:
         channel, parity = ("sin", "even") if m % 2 == 0 else ("cos", "odd")
         raise ExclusionError(f"{channel} channel singular at s = {m} ({parity} integer order)")
-    za = hurwitz_zeta(1.0 - s, t)
-    zb = hurwitz_zeta(1.0 - s, 1.0 - t)
+    za, zb = hurwitz_zeta(1.0 - s, np.stack((ts, 1.0 - ts)))
     pref = TWO_PI**s / (4.0 * gamma_complex(s))
     half_pi_s = 0.5 * math.pi * s
     sin_part = pref / cmath.sin(half_pi_s) * (za - zb)
     cos_part = pref / cmath.cos(half_pi_s) * (za + zb)
-    return ClausenValue(sin_part=sin_part, cos_part=cos_part, s=s, x=TWO_PI * t)
+    x = TWO_PI * ts
+    if ts.ndim == 0:
+        sin_part, cos_part, x = complex(sin_part), complex(cos_part), float(x)
+    return ClausenValue(sin_part=sin_part, cos_part=cos_part, s=s, x=x)
 
 
 def chebyshev_T(m: int, x: float) -> float:

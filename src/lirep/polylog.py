@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bernoulli import _poly_magnitude, bernoulli_poly
+from .bernoulli import _check_cap, _poly_magnitude, bernoulli_poly
 from .clausen import (
     TWO_PI,
     _CHUNK,
@@ -132,18 +132,25 @@ class _NodeCache:
     def __init__(self, s: complex, tol: float):
         self.s = s
         self.tol = tol
-        self.pairs: dict[float, tuple[complex, complex]] = {}
+        self.pairs: dict[tuple[float, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def channel(self, t_arr: np.ndarray, idx: int) -> np.ndarray:
-        out = np.empty(t_arr.shape, dtype=complex)
-        for i, t in enumerate(t_arr):
-            t = float(t)
-            pair = self.pairs.get(t)
-            if pair is None:
-                pair = _pair_cheapest(self.s, TWO_PI * t, self.tol)
-                self.pairs[t] = pair
-            out[i] = pair[idx]
-        return out
+        """The weight of channel idx (0 sin, 1 cos) at the nodes of one panel.
+
+        One entry per panel: a panel not yet seen goes whole, its distinct
+        nodes once each, to _pair_cheapest in one call, so its values come
+        from that computation alone and never from what other panels did."""
+        key = tuple(t_arr.tolist())
+        pair = self.pairs.get(key)
+        if pair is None:
+            nodes = np.array(sorted(set(key)))
+            sin_part, cos_part = _pair_cheapest(self.s, TWO_PI * nodes, self.tol)
+            where = np.searchsorted(nodes, t_arr)
+            pair = (sin_part[where], cos_part[where])
+            for part in pair:
+                part.flags.writeable = False
+            self.pairs[key] = pair
+        return pair[idx]
 
 
 _cache_lock = threading.Lock()
@@ -598,8 +605,14 @@ def li_inversion_integer(n: int, z, tol: float = 1e-10) -> PolylogResult:
     log z is taken continuous from above (Im log z in (0, 2 pi]), and stays
     correct in the lower half plane where the naive principal log z would
     land on the wrong Bernoulli-polynomial period.
+
+    Integer orders past BERNOULLI_CAP raise the cap's ResourceLimitError
+    before any other work: (2 pi)^n / n! in exact integers never finishes at
+    n = 2^70, and complex() overflows past 1e308.
     """
     _check_tol(tol)
+    if isinstance(n, int):
+        _check_cap(n)
     _check_finite(n, z)
     if n < 0:
         raise DomainError("order must be a nonnegative integer")

@@ -1,13 +1,15 @@
 """Gamma and zeta functions on the complex plane.
 
-Everything here is scalar binary64 work with published coefficient sets;
-no external special-function dependency.
+Binary64 work with published coefficient sets; no external
+special-function dependency. hurwitz_zeta also takes an array of shifts.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+import numpy as np
 
 from .bernoulli import bernoulli_number
 from .errors import DomainError, PoleError
@@ -105,21 +107,61 @@ _HURWITZ_COEFFS = tuple(
     float(bernoulli_number(2 * j)) / math.factorial(2 * j)
     for j in range(1, _HURWITZ_CORRECTIONS + 1)
 )
+#: j = 1.._HURWITZ_CORRECTIONS as a column, one correction per row.
+_CORRECTION_INDEX = np.arange(1.0, _HURWITZ_CORRECTIONS + 1.0)[:, None]
 
 
-def hurwitz_zeta(s, a) -> complex:
-    """Hurwitz zeta sum_{k>=0} (k+a)^{-s}, continued past Re s <= 1.
+def _power(base: np.ndarray, p: complex) -> np.ndarray:
+    """base**p elementwise, Re base > 0, with the modulus taken as a real
+    power: exp(p log base) would carry the rounding of p log base,
+    |p log base| eps relative, into every term."""
+    if base.dtype.kind == "c":
+        mod, arg = np.abs(base), np.angle(base)
+        mag = mod**p.real * np.exp(-p.imag * arg)
+        phase = p.imag * np.log(mod) + p.real * arg
+    else:
+        mag = base**p.real
+        phase = p.imag * np.log(base)
+    out = np.empty(base.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    out *= mag
+    return out
+
+
+def _sum2(rows: np.ndarray) -> np.ndarray:
+    """Sum over the first axis as if in twice the working precision: the
+    running sums in order, plus the exact rounding error of each addition
+    by Knuth's TwoSum (Ogita, Rump and Oishi's Sum2)."""
+    run = np.cumsum(rows, axis=0)
+    prev, new = run[:-1], run[1:]
+    back = new - prev
+    err = (prev - (new - back)) + (rows[1:] - back)
+    return run[-1] + err.sum(axis=0)
+
+
+def hurwitz_zeta(s, a):
+    """Hurwitz zeta sum_{k>=0} (k+a)^{-s}, continued past Re s <= 1, at a
+    scalar a (returns a complex) or at every entry of an array.
 
     Euler-Maclaurin: partial sum to a shift N, then the integral term,
-    the half term, and _HURWITZ_CORRECTIONS Bernoulli corrections. Requires
-    Re a > 0; accuracy on the supported region is ~1e-11 relative or
-    better (the most cancellation-prone cases are Re s < 0 with small a).
+    the half term, and _HURWITZ_CORRECTIONS Bernoulli corrections, all
+    summed by Sum2. Requires Re a > 0; accuracy on the supported region is
+    ~1e-11 relative or better (the most cancellation-prone cases are
+    Re s < 0 with small a). Each entry's value takes the same operations
+    whatever the array around it.
     """
     s = complex(s)
-    a = complex(a)
-    if a.real <= 0.0:
-        if _is_real_integer(a):
-            raise DomainError(f"hurwitz_zeta undefined at a={a.real:g}")
+    a = np.asarray(a)
+    if a.dtype.kind == "c" and not a.imag.any():
+        a = a.real
+    a = a.astype(complex if a.dtype.kind == "c" else float)
+    flat = a.ravel()
+    bad = flat.real <= 0.0
+    if bad.any():
+        first = complex(flat[bad][0])
+        if _is_real_integer(first):
+            raise DomainError(f"hurwitz_zeta undefined at a={first.real:g}")
         raise DomainError("hurwitz_zeta requires Re a > 0")
     if s == 1.0:
         raise PoleError("hurwitz_zeta has a simple pole at s = 1")
@@ -129,17 +171,21 @@ def hurwitz_zeta(s, a) -> complex:
         shift = max(10, math.ceil(abs(s)) + 10)
     else:
         shift = max(6, math.ceil(abs(s)) + 2)
-    terms = [(k + a) ** (-s) for k in range(shift)]
-    w = shift + a
-    terms.append(w ** (1.0 - s) / (s - 1.0))
-    terms.append(0.5 * w ** (-s))
-    rising = s  # s(s+1)...(s+2j-2), grown two factors per correction
-    winv = 1.0 / w
-    wpow = w ** (-s) * winv
+    base = np.add.outer(np.arange(shift + 1.0), flat)  # k + a, k <= N; w = N + a last
+    powers = _power(base, -s)
+    w, w_pow = base[shift], powers[shift]
+    rows = np.empty((shift + 2 + _HURWITZ_CORRECTIONS, flat.size), dtype=complex)
+    rows[:shift] = powers[:shift]
+    # divided as Python divides complex numbers: numpy multiplies by a rounded
+    # reciprocal, one more rounding of the largest term
+    rows[shift] = [v / (s - 1.0) for v in _power(w, 1.0 - s).tolist()]
+    rows[shift + 1] = 0.5 * w_pow
+    # correction j: B_2j/(2j)! s(s+1)...(s+2j-2) w^{-s-2j+1}
+    rising = s
+    coeffs = np.empty(_HURWITZ_CORRECTIONS, dtype=complex)
     for j, coeff in enumerate(_HURWITZ_COEFFS, start=1):
-        terms.append(coeff * rising * wpow)
+        coeffs[j - 1] = coeff * rising
         rising = rising * (s + (2 * j - 1)) * (s + 2 * j)
-        wpow = wpow * winv * winv
-    return complex(
-        math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
-    )
+    rows[shift + 2 :] = coeffs[:, None] * w ** (1.0 - 2.0 * _CORRECTION_INDEX) * w_pow
+    total = _sum2(rows.view(float)).view(complex)
+    return complex(total[0]) if a.ndim == 0 else total.reshape(a.shape)

@@ -13,6 +13,7 @@ from lirep import (
     clausen_via_hurwitz,
     riemann_zeta,
 )
+import lirep.clausen as cl
 from lirep.clausen import (
     _CHUNK,
     _POWER_CAP,
@@ -22,6 +23,7 @@ from lirep.clausen import (
     _series_pair,
     _truncation_index,
 )
+from lirep.quadrature import NODES
 
 from oracles import alternating_odd_cubes, clausen_c_brute, clausen_s1, clausen_s_brute
 
@@ -128,6 +130,114 @@ class TestSeriesKernel:
         # the second chunk starts at k = _CHUNK + 1; a wrong block offset
         # shows only there
         assert _check_against_plain_series(complex(s), 0.005, 1e-10) > _CHUNK
+
+
+def _mp_pair(s: complex, x: float) -> tuple[complex, complex]:
+    """(S_s(x), C_s(x)) from mpmath's polylog at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        sm = mpmath.mpc(s.real, s.imag)
+        plus = mpmath.polylog(sm, mpmath.expj(x))
+        minus = mpmath.polylog(sm, mpmath.expj(-x))
+        return complex((plus - minus) / 2j), complex((plus + minus) / 2)
+
+
+def _route(s: complex, x: float, tol: float) -> str:
+    """R (reflection), L (past the memo), M (alone in its block) or S
+    (batched): what _pair_cheapest does at this node."""
+    k = _planned_terms(s, abs(math.sin(0.5 * math.remainder(x, TWO_PI))), tol)
+    if k > _REFLECTION_THRESHOLD:
+        return "R"
+    return "L" if k >= _POWER_CAP else "M" if k >= 1 << cl._BATCH_BITS else "S"
+
+
+class TestBatchedWeights:
+    """One call per route for a whole panel of nodes."""
+
+    @pytest.mark.parametrize(
+        "s,tol,xs,routes",
+        [
+            # every route in one call, and nodes next to both lattice points
+            (1.5 + 0.3j, 1e-4, [2e-5, 6e-4, 0.02, 1.0, 2.0, 3.0, 4.0, TWO_PI - 2e-5], "RLMSSSSR"),
+            (3.4, 1e-10, list(TWO_PI * (0.375 + 0.125 * NODES)), "S" * 15),
+            (3.4 + 0.5j, 1e-10, list(TWO_PI * (0.03125 + 0.03125 * NODES)), "M" * 8 + "S" * 7),
+            (4.2, 1e-11, list(TWO_PI * (0.03125 + 0.03125 * NODES)), "M" + "S" * 14),
+            (1.6, 1e-10, list(TWO_PI * (0.9375 + 0.0625 * NODES)), "R" * 15),
+        ],
+    )
+    def test_panel_against_mpmath(self, s, tol, xs, routes):
+        s = complex(s)
+        assert "".join(_route(s, x, tol) for x in xs) == routes
+        refs = [_mp_pair(s, x) for x in xs]
+        for x, ref, sin_part, cos_part in zip(xs, refs, *_pair_cheapest(s, np.array(xs), tol)):
+            assert abs(sin_part - ref[0]) <= tol
+            assert abs(cos_part - ref[1]) <= tol
+        series = [i for i, r in enumerate(routes) if r != "R"]
+        got = _series_pair(s, np.array(xs)[series], tol)
+        for i, sin_part, cos_part in zip(series, *got):
+            assert abs(sin_part - refs[i][0]) <= tol
+            assert abs(cos_part - refs[i][1]) <= tol
+
+    def test_nodes_on_the_lattice(self):
+        # x = 0 (mod 2 pi) sums to S = 0, C = zeta(s) wherever it sits in the array
+        s, tol = 2.5 + 0.4j, 1e-11
+        xs = np.array([[0.0, 1.0], [TWO_PI, -TWO_PI]])
+        zeta = riemann_zeta(s)
+        for sin_part, cos_part in (_series_pair(s, xs, tol), _pair_cheapest(s, xs, tol)):
+            assert sin_part.shape == cos_part.shape == (2, 2)
+            on = [(0, 0), (1, 0), (1, 1)]
+            assert all(sin_part[i] == 0.0 and cos_part[i] == zeta for i in on)
+            ref = _mp_pair(s, 1.0)
+            assert abs(sin_part[0, 1] - ref[0]) <= tol
+            assert abs(cos_part[0, 1] - ref[1]) <= tol
+        assert abs(zeta - _mp_pair(s, 0.0)[1]) <= 1e-13
+
+    @pytest.mark.parametrize("s", [2 + 1e-9 + 0j, 2 + 1e-9j])
+    def test_exclusion_window_takes_the_series_for_the_whole_call(self, s):
+        xs = np.array([0.03, 0.05, 1.0])
+        tol = 1e-10
+        assert _route(s, 0.03, tol) == "R"
+        got = _pair_cheapest(s, xs, tol)
+        want = _series_pair(s, xs, tol)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        for x, sin_part, cos_part in zip(xs, *got):
+            ref = _mp_pair(s, x)
+            assert abs(sin_part - ref[0]) <= tol
+            assert abs(cos_part - ref[1]) <= tol
+
+    def test_reflection_array_matches_scalar_calls(self):
+        for s in (1.6, 2.5 + 0.7j, 4.4 - 0.9j):
+            t = np.array([1e-3, 0.2, 0.5, 0.77, 0.999])
+            batch = clausen_via_hurwitz(s, t)
+            assert batch.x.shape == t.shape
+            for i, ti in enumerate(t):
+                one = clausen_via_hurwitz(s, float(ti))
+                assert abs(batch.sin_part[i] - one.sin_part) <= 1e-13 * abs(one.sin_part)
+                assert abs(batch.cos_part[i] - one.cos_part) <= 1e-13 * abs(one.cos_part)
+                ref = _mp_pair(complex(s), TWO_PI * ti)
+                assert abs(batch.sin_part[i] - ref[0]) <= 1e-10
+                assert abs(batch.cos_part[i] - ref[1]) <= 1e-10
+        with pytest.raises(DomainError):
+            clausen_via_hurwitz(2.5, np.array([0.3, 1.0]))
+
+    def test_long_series_share_coefficients(self, monkeypatch):
+        # past the memo every node sums its own terms, as alone, and the
+        # chunk of coefficients is computed once for all of them
+        s, tol = 2.5 + 0j, 1e-11
+        xs = np.array([0.01, 0.011, 0.02])
+        assert {_route(s, x, tol) for x in xs} == {"L"}
+        alone = [_series_pair(s, x, tol) for x in xs]
+        powers = cl._inverse_powers
+        calls = []
+
+        def spy(s, k):
+            calls.append(len(k))
+            return powers(s, k)
+
+        monkeypatch.setattr(cl, "_inverse_powers", spy)
+        sin_part, cos_part = _series_pair(s, xs, tol)
+        assert len(calls) == 1
+        assert list(zip(sin_part.tolist(), cos_part.tolist())) == alone
 
 
 class TestClausenBernoulli:

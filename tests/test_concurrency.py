@@ -15,7 +15,9 @@ from lirep import li_series, li_theorem_cos, li_theorem_sin
 
 
 def test_parallel_grid_matches_serial():
-    zs = [0.2, 0.5j, -0.6, 0.4 + 0.4j, -0.3 - 0.5j, 0.85]
+    # 0.97j brings the breakpoints 0.25 and 0.75, so its panels share
+    # nodes with the others' without being the same panels
+    zs = [0.2, 0.5j, -0.6, 0.4 + 0.4j, -0.3 - 0.5j, 0.85, 0.97j]
     s = 2.5
 
     def one(z):
@@ -26,8 +28,13 @@ def test_parallel_grid_matches_serial():
     with pl._cache_lock:
         pl._caches.clear()
     cl._power_table.cache_clear()
-    with ThreadPoolExecutor(max_workers=6) as pool:
-        parallel = list(pool.map(one, zs))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            parallel = list(pool.map(one, zs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
 
     with pl._cache_lock:
         pl._caches.clear()
@@ -37,9 +44,10 @@ def test_parallel_grid_matches_serial():
     for (pa, pb), (sa, sb), z in zip(parallel, serial, zs):
         ref = li_series(s, z, tol=1e-12).value
         assert pa == pytest.approx(ref, abs=1e-7)
-        # cache fill order differs between runs, values must not
-        assert pa == pytest.approx(sa, abs=1e-9)
-        assert pb == pytest.approx(sb, abs=1e-9)
+        # cache fill order differs between runs, values must not, to the bit:
+        # a panel's weights come from its own computation alone
+        assert pa == sa
+        assert pb == sb
 
 
 def test_cache_registry_bounded():

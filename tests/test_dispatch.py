@@ -146,6 +146,7 @@ def test_bad_tolerance_named_as_given(route, tol):
         lambda bad: li_integral_classical(bad, 0.3, form="exp"),
         lambda bad: li_integral_classical(2.5, bad, form="exp"),
         lambda bad: li_integral_classical(2.5, bad, form="log"),
+        lambda bad: li_inversion_integer(bad, 2j),
         lambda bad: li_inversion_integer(3, bad),
         lambda bad: li_theorem_sin(bad, 0.3),
         lambda bad: li_theorem_sin(2.5, bad),
@@ -154,7 +155,7 @@ def test_bad_tolerance_named_as_given(route, tol):
     ],
     ids=[
         "series-s", "series-z", "classical-exp-s", "classical-exp-z", "classical-log-z",
-        "inversion-int-z", "theorem6a-s", "theorem6a-z", "theorem6c-z", "bernoulli7a-z",
+        "inversion-int-s", "inversion-int-z", "theorem6a-s", "theorem6a-z", "theorem6c-z", "bernoulli7a-z",
     ],
 )
 def test_nonfinite_order_or_argument_rejected(route, bad):

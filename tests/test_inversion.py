@@ -1,13 +1,31 @@
 import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lirep
 from lirep import (
+    BERNOULLI_CAP,
     DomainError,
+    ResourceLimitError,
     li_integral_classical,
     li_inversion_integer,
     li_series,
 )
+
+
+def _run_lirep(code: str) -> subprocess.CompletedProcess:
+    """Python code in a fresh interpreter that imports this lirep, killed
+    after 20 s: a hang in C arithmetic holds the interpreter lock, so only
+    another process can time it out."""
+    src = str(Path(lirep.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+    )
 
 
 def test_li1_closed_form():
@@ -63,3 +81,26 @@ def test_domain():
         li_inversion_integer(2, 3.0)  # on the cut
     with pytest.raises(DomainError):
         li_inversion_integer(-1, -3.0)
+
+
+@pytest.mark.parametrize("n", [BERNOULLI_CAP + 1, 10**400])
+def test_orders_past_the_cap_fail_at_once(n):
+    # 10^400 overflowed complex() in the finiteness check: the cap comes
+    # first (2^70, which hung, is tried in a fresh interpreter below)
+    with pytest.raises(ResourceLimitError, match="Bernoulli cap"):
+        li_inversion_integer(n, 2j)
+
+
+def test_huge_orders_end_in_a_fresh_interpreter():
+    # (2 pi)^n / n! in exact integers never finished at n = 2^70
+    proc = _run_lirep(
+        "from lirep import ResourceLimitError, li_inversion_integer\n"
+        "try:\n"
+        "    li_inversion_integer(2**70, 2j)\n"
+        "except ResourceLimitError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert "Bernoulli cap" in proc.stdout
+    proc = _run_lirep("from lirep.cli import main; raise SystemExit(main(['eval', '--s', '1e30', '--z', '2i']))")
+    assert proc.returncode == 3
+    assert "Bernoulli cap" in proc.stderr

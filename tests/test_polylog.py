@@ -18,8 +18,10 @@ from lirep import (
     li_theorem_sin,
     riemann_zeta,
 )
+import lirep.clausen as cl
+import lirep.polylog as pl
 from lirep.polylog import _node_cache
-from lirep.quadrature import integrate_adaptive
+from lirep.quadrature import gauss_kronrod_panel, integrate_adaptive
 
 from oracles import li_brute
 
@@ -331,3 +333,90 @@ class TestMeanValueProperty:
         r = integrate_adaptive(f, 0.0, 1.0, tol=1e-10)
         assert r.converged
         assert abs(r.value) <= 1e-10
+
+
+class TestNodeCache:
+    def test_missing_nodes_computed_once(self, monkeypatch):
+        pair = pl._pair_cheapest
+        calls = []
+
+        def spy(s, x, tol):
+            calls.append(np.array(x))
+            return pair(s, x, tol)
+
+        monkeypatch.setattr(pl, "_pair_cheapest", spy)
+        cache = pl._NodeCache(3.3 + 0.2j, 1e-10)
+        t = np.array([0.1, 0.2, 0.1, 0.3])
+        first = cache.channel(t, 0)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], 2.0 * math.pi * np.array([0.1, 0.2, 0.3]))
+        assert first[0] == first[2]
+        # all hit: the cache alone, the same values
+        assert np.array_equal(cache.channel(t, 0), first)
+        assert len(calls) == 1
+        cos = cache.channel(t, 1)
+        assert len(calls) == 1
+        # a new panel sharing node 0.3: computed whole, each node once, and
+        # stored under its own key, so the first panel's entry is untouched
+        panel = np.array([0.3, 0.4, 0.4])
+        cache.channel(panel, 1)
+        assert len(calls) == 2
+        assert np.array_equal(calls[1], 2.0 * math.pi * np.array([0.3, 0.4]))
+        assert np.array_equal(cache.pairs[(0.1, 0.2, 0.1, 0.3)][0], first)
+        assert np.array_equal(cache.pairs[(0.1, 0.2, 0.1, 0.3)][1], cos)
+
+    @pytest.mark.parametrize("tag", ["theorem6a", "theorem6b", "theorem6c"])
+    @pytest.mark.parametrize("s", [3.4 + 0.5j, 1.6])
+    def test_cold_and_warm_values_bit_identical(self, tag, s):
+        # a node's weight depends on its panel only, so a request computed
+        # after another z has filled the same (s, tol) cache matches its
+        # cold value bit for bit
+        def eval_at(z):
+            req = PolylogRequest(s=s, z=z, representation=RepresentationTag(tag), tol=1e-9)
+            r = li_eval(req)
+            return r.value, r.error_estimate
+
+        def clear():
+            with pl._cache_lock:
+                pl._caches.clear()
+            cl._power_table.cache_clear()
+
+        clear()
+        cold = eval_at(0.5 + 0.3j)
+        for warm_z in (-0.7j, 0.97):
+            clear()
+            eval_at(warm_z)
+            assert eval_at(0.5 + 0.3j) == cold
+
+    def test_panel_unmoved_by_a_panel_sharing_a_node(self):
+        # the centre 0.5 of [0.25, 0.75] is also the centre of [0, 1]; the
+        # later panel, summed in its own blocks, must not replace what the
+        # first one gives (keyed by node, the cos weight moved by 7.9e-12)
+        def nodes(lo, hi):
+            seen = []
+            gauss_kronrod_panel(lambda t: seen.append(t.copy()) or np.zeros(t.shape, complex), lo, hi)
+            return seen[0]
+
+        whole, inner = nodes(0.0, 1.0), nodes(0.25, 0.75)
+        assert 0.5 in whole and 0.5 in inner
+        cache = pl._NodeCache(3.3 + 0.2j, 1e-10)
+        first = [cache.channel(whole, idx).copy() for idx in (0, 1)]
+        cache.channel(inner, 1)
+        assert all(np.array_equal(cache.channel(whole, idx), first[idx]) for idx in (0, 1))
+
+    @pytest.mark.parametrize("tag", ["theorem6a", "theorem6b", "theorem6c"])
+    def test_value_unmoved_by_a_request_sharing_nodes(self, tag):
+        # the same through li_eval: |z| > 0.95 adds the breakpoints t* and
+        # 1 - t*, here 0.25 and 0.75, so 0.97j's panel [0.25, 0.75] shares
+        # its centre with the panel [0, 1] of z = 0.5; the second 0.5 reads
+        # the warm cache and must match the first to the bit
+        def eval_at(z):
+            req = PolylogRequest(s=3.3 + 0.2j, z=z, representation=RepresentationTag(tag), tol=1e-9)
+            r = li_eval(req)
+            return r.value, r.error_estimate
+
+        with pl._cache_lock:
+            pl._caches.clear()
+        first = eval_at(0.5)
+        eval_at(0.97j)
+        assert eval_at(0.5) == first

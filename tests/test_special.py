@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from lirep import DomainError, PoleError, gamma_complex, hurwitz_zeta, riemann_zeta
@@ -116,3 +117,51 @@ class TestHurwitzZeta:
             hurwitz_zeta(3, -1)
         with pytest.raises(DomainError):
             hurwitz_zeta(3, 0)
+
+
+class TestHurwitzZetaArrays:
+    """hurwitz_zeta at an array of shifts: the reflection route's call."""
+
+    @pytest.mark.parametrize("s", [-0.6, -0.6 - 0.3j, -3.5 + 0.9j, 2.5, 0.4 + 2j])
+    def test_matches_scalar_calls(self, s):
+        a = np.array([[1e-3, 0.2, 0.5], [0.77, 0.999, 1.7]])
+        batch = hurwitz_zeta(s, a)
+        assert batch.shape == a.shape
+        for idx in np.ndindex(a.shape):
+            one = hurwitz_zeta(s, float(a[idx]))
+            assert isinstance(one, complex)
+            assert abs(batch[idx] - one) <= 1e-13 * abs(one)
+
+    def test_accuracy_against_mpmath(self):
+        # The reflection's arguments: 1 - s for 1 < Re s <= 5, 0 < a < 1.
+        # Error against max(1, |zeta|) on these 200 points: 6.9e-13 worst and
+        # 4.6e-14 mean (the scalar Python-complex version this replaced:
+        # 6.9e-13 and 4.2e-14); with (k+a)^-s as exp(-s log(k+a)) instead
+        # of a real power for the modulus, 5.9e-12 and 2.2e-13.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(5)
+        errors = []
+        for _ in range(50):
+            s = 1.0 - complex(rng.uniform(1.05, 5.0), rng.choice([0.0, rng.uniform(-1.5, 1.5)]))
+            a = rng.uniform(0.0, 1.0, 4)
+            with mpmath.workdps(30):
+                refs = [complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), mpmath.mpf(v))) for v in a]
+            for got, ref in zip(hurwitz_zeta(s, a), refs):
+                errors.append(abs(got - ref) / max(1.0, abs(ref)))
+        assert max(errors) <= 1.5e-12
+        assert sum(errors) / len(errors) <= 6e-14
+
+    def test_complex_shifts(self):
+        # a off the real axis takes the modulus and the argument apart
+        for s in (2.5, -1.5 + 0.5j):
+            a = np.array([0.3 + 0.4j, 1.2 - 0.7j])
+            batch = hurwitz_zeta(s, a)
+            for v, got in zip(a, batch):
+                rhs = v ** (-complex(s)) + hurwitz_zeta(s, v + 1.0)
+                assert got == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+    def test_domain_with_arrays(self):
+        with pytest.raises(DomainError, match="undefined at a=-1"):
+            hurwitz_zeta(3, np.array([0.5, -1.0]))
+        with pytest.raises(DomainError, match="Re a > 0"):
+            hurwitz_zeta(3, np.array([0.5, -0.5 + 1j]))
