@@ -58,6 +58,12 @@ def _planned_terms(s: complex, sin_half: float, tol: float) -> float:
     return min(k_int, k_dir)
 
 
+def _sin_half(x: float) -> float:
+    """|sin(x/2)|, with x first reduced exactly to [-pi, pi]: zero on the
+    2*pi lattice, and the distance the tail bounds of the series feel."""
+    return abs(math.sin(0.5 * math.remainder(x, TWO_PI)))
+
+
 def _truncation_index(s: complex, sin_half: float, tol: float) -> int:
     k = _planned_terms(s, sin_half, tol)
     if not math.isfinite(k) or k >= SERIES_CAP:
@@ -152,11 +158,11 @@ def _series_pair(s: complex, x, tol: float):
     cos_sums = np.zeros(flat.shape, dtype=complex)
     classes: dict[int, list[tuple[int, int]]] = {}
     for i, xi in enumerate(flat.tolist()):
-        r = math.remainder(xi, TWO_PI)
-        if r == 0.0:
+        sin_half = _sin_half(xi)
+        if sin_half == 0.0:
             cos_sums[i] = riemann_zeta(s)
         else:
-            terms = _truncation_index(s, abs(math.sin(0.5 * r)), tol)
+            terms = _truncation_index(s, sin_half, tol)
             classes.setdefault(terms.bit_length(), []).append((i, terms))
     blocks = []
     for bits, members in classes.items():
@@ -187,44 +193,28 @@ _REFLECTION_THRESHOLD = 1 << 20
 
 
 def _pair_cheapest(s: complex, x, tol: float):
-    """(S, C) at a scalar x or at every node of an array, each node by
-    whichever route is affordable there.
+    """(S, C) at a scalar x or at every node of an array, all by one route.
 
-    Short series are summed directly; once a node's truncation index grows
-    past a work threshold (slow decay, or x drifting toward the 2*pi
-    lattice where both tail bounds explode) the O(1) Hurwitz reflection
-    takes over. The reflection is unavailable only within the exclusion
-    window of integer orders, which depends on s alone; there every node
-    takes the series up to its hard cap, beyond which the node is genuinely
-    out of reach. Each route gets all of its nodes in one call.
+    The planned series length only grows toward the 2*pi lattice, so the
+    node nearest it decides: once its truncation index passes a work
+    threshold (slow decay, or x drifting toward the lattice where both tail
+    bounds explode) every node takes the O(1) Hurwitz reflection, and
+    otherwise every node is summed directly. A node on the lattice, where
+    the reflection is undefined, or an order within the exclusion window
+    of an integer, where it is singular, sends the whole call to the
+    series, which goes up to its hard cap before a node is out of reach.
     """
     xs = np.asarray(x, dtype=float)
-    flat = xs.ravel()
-    nodes = flat.tolist()
-    u = [(xi / TWO_PI) % 1.0 for xi in nodes]
-    far = np.array(
-        [
-            0.0 < ui < 1.0
-            and _planned_terms(s, abs(math.sin(0.5 * math.remainder(xi, TWO_PI))), tol)
-            > _REFLECTION_THRESHOLD
-            for xi, ui in zip(nodes, u)
-        ],
-        dtype=bool,
-    )
-    sin_part = np.empty(flat.shape, dtype=complex)
-    cos_part = np.empty(flat.shape, dtype=complex)
-    if far.any():
-        try:
-            cv = clausen_via_hurwitz(s, np.array(u)[far])
-            sin_part[far], cos_part[far] = cv.sin_part, cv.cos_part
-        except ExclusionError:
-            far[:] = False
-    near = ~far
-    if near.any():
-        sin_part[near], cos_part[near] = _series_pair(s, flat[near], tol)
-    if xs.ndim == 0:
-        return complex(sin_part[0]), complex(cos_part[0])
-    return sin_part.reshape(xs.shape), cos_part.reshape(xs.shape)
+    u = (xs / TWO_PI) % 1.0
+    if np.all((0.0 < u) & (u < 1.0)):
+        nearest = min(map(_sin_half, xs.ravel().tolist()))
+        if _planned_terms(s, nearest, tol) > _REFLECTION_THRESHOLD:
+            try:
+                cv = clausen_via_hurwitz(s, u)
+                return cv.sin_part, cv.cos_part
+            except ExclusionError:
+                pass
+    return _series_pair(s, xs, tol)
 
 
 def _bernoulli_parity(s: complex) -> str | None:

@@ -137,25 +137,28 @@ class _NodeCache:
     def channel(self, t_arr: np.ndarray, idx: int) -> np.ndarray:
         """The weight of channel idx (0 sin, 1 cos) at the nodes of one panel.
 
-        One entry per panel: a panel not yet seen goes whole, its distinct
-        nodes once each, to _pair_cheapest in one call, so its values come
-        from that computation alone and never from what other panels did."""
+        One entry per panel: a panel not yet seen goes to _pair_cheapest
+        whole, as it is, in one call, so its values come from that
+        computation alone and never from what other panels did. At most
+        _PANEL_CAP panels are kept, the oldest evicted first; an evicted
+        panel is computed again, to the same bits."""
         key = tuple(t_arr.tolist())
         pair = self.pairs.get(key)
         if pair is None:
-            nodes = np.array(sorted(set(key)))
-            sin_part, cos_part = _pair_cheapest(self.s, TWO_PI * nodes, self.tol)
-            where = np.searchsorted(nodes, t_arr)
-            pair = (sin_part[where], cos_part[where])
+            pair = _pair_cheapest(self.s, TWO_PI * t_arr, self.tol)
             for part in pair:
                 part.flags.writeable = False
-            self.pairs[key] = pair
+            with _cache_lock:
+                self.pairs[key] = pair
+                while len(self.pairs) > _PANEL_CAP:
+                    del self.pairs[next(iter(self.pairs))]
         return pair[idx]
 
 
 _cache_lock = threading.Lock()
 _caches: OrderedDict[tuple[complex, float], _NodeCache] = OrderedDict()
 _CACHE_SLOTS = 16
+_PANEL_CAP = 1 << 11
 
 
 def _node_cache(s: complex, tol: float) -> _NodeCache:

@@ -144,7 +144,9 @@ def _mp_pair(s: complex, x: float) -> tuple[complex, complex]:
 
 def _route(s: complex, x: float, tol: float) -> str:
     """R (reflection), L (past the memo), M (alone in its block) or S
-    (batched): what _pair_cheapest does at this node."""
+    (batched): what _pair_cheapest does with this node when it is the one
+    nearest the 2*pi lattice; every node of the call takes R or the series
+    with it."""
     k = _planned_terms(s, abs(math.sin(0.5 * math.remainder(x, TWO_PI))), tol)
     if k > _REFLECTION_THRESHOLD:
         return "R"
@@ -152,12 +154,14 @@ def _route(s: complex, x: float, tol: float) -> str:
 
 
 class TestBatchedWeights:
-    """One call per route for a whole panel of nodes."""
+    """One route for a whole panel of nodes, in one call, picked at the
+    node nearest the 2*pi lattice."""
 
     @pytest.mark.parametrize(
         "s,tol,xs,routes",
         [
-            # every route in one call, and nodes next to both lattice points
+            # every series class in one array, and nodes next to both
+            # lattice points, which send the whole call to the reflection
             (1.5 + 0.3j, 1e-4, [2e-5, 6e-4, 0.02, 1.0, 2.0, 3.0, 4.0, TWO_PI - 2e-5], "RLMSSSSR"),
             (3.4, 1e-10, list(TWO_PI * (0.375 + 0.125 * NODES)), "S" * 15),
             (3.4 + 0.5j, 1e-10, list(TWO_PI * (0.03125 + 0.03125 * NODES)), "M" * 8 + "S" * 7),
@@ -191,6 +195,34 @@ class TestBatchedWeights:
             assert abs(sin_part[0, 1] - ref[0]) <= tol
             assert abs(cos_part[0, 1] - ref[1]) <= tol
         assert abs(zeta - _mp_pair(s, 0.0)[1]) <= 1e-13
+
+    def test_mixed_call_is_reflected_whole(self):
+        # one node past the threshold takes every node to the reflection,
+        # also those whose own series is short
+        s, tol = 1.5 + 0.3j, 1e-4
+        xs = np.array([2e-5, 6e-4, 0.02, 1.0, 2.0, 3.0, 4.0])
+        assert "".join(_route(s, x, tol) for x in xs) == "RLMSSSS"
+        got = _pair_cheapest(s, xs, tol)
+        want = clausen_via_hurwitz(s, xs / TWO_PI)
+        assert np.array_equal(got[0], want.sin_part) and np.array_equal(got[1], want.cos_part)
+        for x, sin_part, cos_part in zip(xs, *got):
+            ref = _mp_pair(s, x)
+            assert abs(sin_part - ref[0]) <= tol
+            assert abs(cos_part - ref[1]) <= tol
+
+    def test_lattice_node_sends_a_far_node_to_the_series(self):
+        # the reflection is undefined on the lattice, so a node there takes
+        # its neighbour, which alone would be reflected, to the series
+        s, tol = 1.5 + 0.3j, 1e-4
+        xs = np.array([0.0, 2e-5, 1.0])
+        assert _route(s, 2e-5, tol) == "R"
+        got = _pair_cheapest(s, xs, tol)
+        want = _series_pair(s, xs, tol)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        for x, sin_part, cos_part in zip(xs[1:], got[0][1:], got[1][1:]):
+            ref = _mp_pair(s, x)
+            assert abs(sin_part - ref[0]) <= tol
+            assert abs(cos_part - ref[1]) <= tol
 
     @pytest.mark.parametrize("s", [2 + 1e-9 + 0j, 2 + 1e-9j])
     def test_exclusion_window_takes_the_series_for_the_whole_call(self, s):

@@ -15,6 +15,12 @@ from lirep import li_series, li_theorem_cos, li_theorem_sin
 
 
 def test_parallel_grid_matches_serial():
+    _grid_matches_serial()
+
+
+def _grid_matches_serial():
+    """The grid's (sin, alt) values computed by 6 threads, checked bit for
+    bit against a serial run from a cold cache; returns the serial ones."""
     # 0.97j brings the breakpoints 0.25 and 0.75, so its panels share
     # nodes with the others' without being the same panels
     zs = [0.2, 0.5j, -0.6, 0.4 + 0.4j, -0.3 - 0.5j, 0.85, 0.97j]
@@ -48,6 +54,16 @@ def test_parallel_grid_matches_serial():
         # a panel's weights come from its own computation alone
         assert pa == sa
         assert pb == sb
+    return serial
+
+
+def test_parallel_evictions_match_serial(monkeypatch):
+    # a cap of 4 panels per order evicts while other threads read; an
+    # evicted panel is computed again to the same bits
+    full = _grid_matches_serial()
+    monkeypatch.setattr(pl, "_PANEL_CAP", 4)
+    assert _grid_matches_serial() == full
+    assert all(len(cache.pairs) <= 4 for cache in pl._caches.values())
 
 
 def test_cache_registry_bounded():

@@ -349,21 +349,32 @@ class TestNodeCache:
         t = np.array([0.1, 0.2, 0.1, 0.3])
         first = cache.channel(t, 0)
         assert len(calls) == 1
-        assert np.array_equal(calls[0], 2.0 * math.pi * np.array([0.1, 0.2, 0.3]))
         assert first[0] == first[2]
         # all hit: the cache alone, the same values
         assert np.array_equal(cache.channel(t, 0), first)
         assert len(calls) == 1
         cos = cache.channel(t, 1)
         assert len(calls) == 1
-        # a new panel sharing node 0.3: computed whole, each node once, and
-        # stored under its own key, so the first panel's entry is untouched
+        # a new panel sharing node 0.3: computed whole and stored under its
+        # own key, so the first panel's entry is untouched
         panel = np.array([0.3, 0.4, 0.4])
         cache.channel(panel, 1)
         assert len(calls) == 2
-        assert np.array_equal(calls[1], 2.0 * math.pi * np.array([0.3, 0.4]))
         assert np.array_equal(cache.pairs[(0.1, 0.2, 0.1, 0.3)][0], first)
         assert np.array_equal(cache.pairs[(0.1, 0.2, 0.1, 0.3)][1], cos)
+
+    def test_panels_bounded_oldest_evicted_first(self):
+        cap = pl._PANEL_CAP
+        cache = pl._NodeCache(5.5 + 0.1j, 1e-8)
+        panels = [0.05 + 0.9 * (k + np.array([0.0, 0.3, 0.6])) / (cap + 10) for k in range(cap + 10)]
+        first = [cache.channel(panels[0], idx).copy() for idx in (0, 1)]
+        for t in panels[1:]:
+            cache.channel(t, 0)
+        # the 10 oldest went
+        assert list(cache.pairs) == [tuple(t.tolist()) for t in panels[10:]]
+        # an evicted panel is computed again, to the same bits
+        assert all(np.array_equal(cache.channel(panels[0], idx), first[idx]) for idx in (0, 1))
+        assert len(cache.pairs) == cap
 
     @pytest.mark.parametrize("tag", ["theorem6a", "theorem6b", "theorem6c"])
     @pytest.mark.parametrize("s", [3.4 + 0.5j, 1.6])

@@ -66,6 +66,19 @@ class TestRiemannZeta:
         rhs = zeta_odd_lattice(3.0) / (1.0 - 2.0 ** (-3.0))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "s,ref",
+        [
+            # mpmath 1.3.0, mpmath.zeta at 30 digits; past |Im s| ~ 35 the
+            # accelerated eta sum alone is off by 6e-8 to 6e-4 here
+            (0.5 + 50j, -0.08171210832097997 + 0.3307921940386613j),
+            (1.5 + 80j, 1.1252349641525001 + 0.550466884723874j),
+            (-2.5 + 60j, 546.2686900583683 + 581.4690944522927j),
+        ],
+    )
+    def test_large_imaginary_part(self, s, ref):
+        assert riemann_zeta(s) == pytest.approx(ref, rel=1e-12)
+
     def test_negative_axis_continuation(self):
         # zeta(-1) = -1/12, zeta(0) = -1/2, trivial zeros at -2, -4
         assert riemann_zeta(-1).real == pytest.approx(-1.0 / 12.0, rel=1e-12)
