@@ -10,7 +10,6 @@ The three routes are kept independent so they can cross-check each other.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -78,25 +77,6 @@ def _inverse_powers(s: complex, k: np.ndarray) -> np.ndarray:
     return k ** (-s.real) if s.imag == 0.0 else np.exp(-s * np.log(k))
 
 
-#: Longest k^{-s} table kept in the memo; longer Clausen series compute
-#: their coefficients chunk by chunk.
-_POWER_CAP = 1 << 16
-_POWER_MIN = 1 << 10
-_POWER_SLOTS = 8
-
-
-@functools.lru_cache(maxsize=_POWER_SLOTS)
-def _power_table(s: complex, size: int) -> np.ndarray:
-    """Read-only k^{-s} for k = size down to 1, shared by every node of an
-    order; its last n entries are the first n coefficients, smallest first.
-
-    Sizes are powers of two from _POWER_MIN to _POWER_CAP, so the slots hold
-    all the sizes one order can ask for."""
-    table = _inverse_powers(s, np.arange(size, 0, -1, dtype=float))
-    table.flags.writeable = False
-    return table
-
-
 def _unit_phases(x: np.ndarray, lo: int, n: int) -> np.ndarray:
     """e^{ikx} for k = lo+n-1 down to lo (rows) at every node of x (columns).
 
@@ -131,11 +111,10 @@ def _block_sums(coeff: np.ndarray, x: np.ndarray, lo: int) -> tuple[np.ndarray, 
     return sums[1::2], sums[0::2]
 
 
-#: Series of fewer than 2^_BATCH_BITS terms share blocks of nodes, each of
+#: Nodes whose truncation indices have the same bit length share blocks of
 #: at most _BLOCK node-terms, so that a block's phase temporaries stay within
-#: 2^15 complex values (512 KiB). Longer series cost per term, not per call,
-#: and gain nothing from sharing a block.
-_BATCH_BITS = 11
+#: 2^15 complex values (512 KiB); a node of 2^14 terms or more is a block of
+#: its own.
 _BLOCK = 1 << 15
 
 
@@ -145,13 +124,11 @@ def _series_pair(s: complex, x, tol: float):
 
     Every node sums at least its own truncation index of terms, from the
     smallest up, which keeps the rounding of the running sum to a few ulp.
-    Nodes of fewer than 2^_BATCH_BITS terms whose truncation indices have
-    the same bit length share blocks: each block is summed to its largest
-    index (less than twice any member's own) with one set of phases and
-    one BLAS product. Other nodes are summed alone, to their own index.
-    The terms go in chunks of _CHUNK, each chunk's coefficients taken once
-    for every block: from the memo while the longest series is within
-    _POWER_CAP terms, computed afresh past it."""
+    Nodes whose truncation indices have the same bit length share blocks of
+    at most _BLOCK node-terms: each block is summed to its largest index
+    (less than twice any member's own) with one set of phases and one BLAS
+    product. The terms go in chunks of _CHUNK, each chunk's coefficients
+    computed once for every block."""
     xs = np.asarray(x, dtype=float)
     flat = xs.ravel()
     sin_sums = np.zeros(flat.shape, dtype=complex)
@@ -166,17 +143,14 @@ def _series_pair(s: complex, x, tol: float):
             classes.setdefault(terms.bit_length(), []).append((i, terms))
     blocks = []
     for bits, members in classes.items():
-        size = _BLOCK >> bits if bits <= _BATCH_BITS else 1
+        size = max(1, _BLOCK >> bits)
         for j in range(0, len(members), size):
             idx, terms = zip(*members[j : j + size])
             blocks.append((list(idx), max(terms)))
     top = max((terms for _, terms in blocks), default=0)
     for lo in reversed(range(1, top + 1, _CHUNK)):
         rows = min(_CHUNK, top + 1 - lo)
-        if top <= _POWER_CAP:
-            coeff = _power_table(s, max(_POWER_MIN, 1 << (top - 1).bit_length()))
-        else:
-            coeff = _inverse_powers(s, np.arange(lo + rows - 1, lo - 1, -1, dtype=float))
+        coeff = _inverse_powers(s, np.arange(lo + rows - 1, lo - 1, -1, dtype=float))
         for idx, terms in blocks:
             if terms >= lo:
                 n = min(_CHUNK, terms + 1 - lo)

@@ -131,10 +131,13 @@ def gauss_kronrod_panel(f, a: float, b: float) -> tuple[complex, float, float]:
     h = 0.5 * (b - a)
     x = 0.5 * (a + b) + h * NODES
     y = np.asarray(f(x), dtype=complex)
-    resk = h * np.dot(_WEIGHTS_K, y)
+    sum_k = np.dot(_WEIGHTS_K, y)
+    resk = h * sum_k
     resg = h * np.dot(_WEIGHTS_G, y)
     resabs = abs(h) * float(np.dot(_WEIGHTS_K, np.abs(y)))
-    mean = resk / (b - a)
+    # the mean of f over the panel, resk / (b - a), without dividing by a
+    # width that can underflow toward a singular endpoint
+    mean = 0.5 * sum_k
     resasc = abs(h) * float(np.dot(_WEIGHTS_K, np.abs(y - mean)))
     err = abs(resk - resg)
     if resasc != 0.0 and err != 0.0:

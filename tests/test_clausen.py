@@ -16,7 +16,6 @@ from lirep import (
 import lirep.clausen as cl
 from lirep.clausen import (
     _CHUNK,
-    _POWER_CAP,
     _REFLECTION_THRESHOLD,
     _pair_cheapest,
     _planned_terms,
@@ -122,8 +121,8 @@ class TestSeriesKernel:
         _check_against_plain_series(complex(s), x, 1e-11)
 
     def test_past_the_power_memo(self):
-        # longer than the memoised k^-s tables: coefficients computed fresh
-        assert _check_against_plain_series(2.5 + 0j, 0.01, 1e-11) > _POWER_CAP
+        # over 2^16 terms, all their coefficients in one chunk of k^-s
+        assert _check_against_plain_series(2.5 + 0j, 0.01, 1e-11) > 1 << 16
 
     @pytest.mark.parametrize("s", [2 + 1e-9, 2 + 1e-9j])
     def test_two_chunks(self, s):
@@ -143,14 +142,14 @@ def _mp_pair(s: complex, x: float) -> tuple[complex, complex]:
 
 
 def _route(s: complex, x: float, tol: float) -> str:
-    """R (reflection), L (past the memo), M (alone in its block) or S
-    (batched): what _pair_cheapest does with this node when it is the one
-    nearest the 2*pi lattice; every node of the call takes R or the series
-    with it."""
-    k = _planned_terms(s, abs(math.sin(0.5 * math.remainder(x, TWO_PI))), tol)
-    if k > _REFLECTION_THRESHOLD:
+    """R (reflection), A (2^14 terms or more, alone in its block) or S (in
+    a block it may share): what _pair_cheapest does with this node when it
+    is the one nearest the 2*pi lattice; every node of the call takes R or
+    the series with it."""
+    sin_half = abs(math.sin(0.5 * math.remainder(x, TWO_PI)))
+    if _planned_terms(s, sin_half, tol) > _REFLECTION_THRESHOLD:
         return "R"
-    return "L" if k >= _POWER_CAP else "M" if k >= 1 << cl._BATCH_BITS else "S"
+    return "A" if _truncation_index(s, sin_half, tol) >= 1 << 14 else "S"
 
 
 class TestBatchedWeights:
@@ -162,10 +161,10 @@ class TestBatchedWeights:
         [
             # every series class in one array, and nodes next to both
             # lattice points, which send the whole call to the reflection
-            (1.5 + 0.3j, 1e-4, [2e-5, 6e-4, 0.02, 1.0, 2.0, 3.0, 4.0, TWO_PI - 2e-5], "RLMSSSSR"),
+            (1.5 + 0.3j, 1e-4, [2e-5, 6e-4, 0.02, 1.0, 2.0, 3.0, 4.0, TWO_PI - 2e-5], "RASSSSSR"),
             (3.4, 1e-10, list(TWO_PI * (0.375 + 0.125 * NODES)), "S" * 15),
-            (3.4 + 0.5j, 1e-10, list(TWO_PI * (0.03125 + 0.03125 * NODES)), "M" * 8 + "S" * 7),
-            (4.2, 1e-11, list(TWO_PI * (0.03125 + 0.03125 * NODES)), "M" + "S" * 14),
+            (3.4 + 0.5j, 1e-10, list(TWO_PI * (0.03125 + 0.03125 * NODES)), "S" * 15),
+            (4.2, 1e-11, list(TWO_PI * (0.03125 + 0.03125 * NODES)), "S" * 15),
             (1.6, 1e-10, list(TWO_PI * (0.9375 + 0.0625 * NODES)), "R" * 15),
         ],
     )
@@ -181,6 +180,19 @@ class TestBatchedWeights:
         for i, sin_part, cos_part in zip(series, *got):
             assert abs(sin_part - refs[i][0]) <= tol
             assert abs(cos_part - refs[i][1]) <= tol
+
+    def test_blocks_of_two_to_eight_nodes(self):
+        # 2^11 to 2^14 terms: three bit lengths, so blocks of 8, 4 and 2
+        # nodes, each node summed to its block's largest index
+        s, tol = 3.2 + 0.6j, 1e-11
+        xs = TWO_PI * (0.12625 + 0.12375 * NODES)
+        terms = [_truncation_index(s, abs(math.sin(0.5 * x)), tol) for x in xs]
+        assert {k.bit_length() for k in terms} == {12, 13, 14}
+        got = _series_pair(s, xs, tol)
+        for x, sin_part, cos_part in zip(xs, *got):
+            ref = _mp_pair(s, x)
+            assert abs(sin_part - ref[0]) <= tol
+            assert abs(cos_part - ref[1]) <= tol
 
     def test_nodes_on_the_lattice(self):
         # x = 0 (mod 2 pi) sums to S = 0, C = zeta(s) wherever it sits in the array
@@ -201,7 +213,7 @@ class TestBatchedWeights:
         # also those whose own series is short
         s, tol = 1.5 + 0.3j, 1e-4
         xs = np.array([2e-5, 6e-4, 0.02, 1.0, 2.0, 3.0, 4.0])
-        assert "".join(_route(s, x, tol) for x in xs) == "RLMSSSS"
+        assert "".join(_route(s, x, tol) for x in xs) == "RASSSSS"
         got = _pair_cheapest(s, xs, tol)
         want = clausen_via_hurwitz(s, xs / TWO_PI)
         assert np.array_equal(got[0], want.sin_part) and np.array_equal(got[1], want.cos_part)
@@ -253,11 +265,13 @@ class TestBatchedWeights:
             clausen_via_hurwitz(2.5, np.array([0.3, 1.0]))
 
     def test_long_series_share_coefficients(self, monkeypatch):
-        # past the memo every node sums its own terms, as alone, and the
-        # chunk of coefficients is computed once for all of them
+        # every node of 2^14 terms or more sums its own terms, as alone, and
+        # one chunk of coefficients is computed once for all of them: also
+        # for a node of under 2^16 terms, which takes the chunk's last ones
         s, tol = 2.5 + 0j, 1e-11
-        xs = np.array([0.01, 0.011, 0.02])
-        assert {_route(s, x, tol) for x in xs} == {"L"}
+        xs = np.array([0.01, 0.011, 0.02, math.pi])
+        assert {_route(s, x, tol) for x in xs} == {"A"}
+        assert _truncation_index(s, 1.0, tol) < 1 << 16
         alone = [_series_pair(s, x, tol) for x in xs]
         powers = cl._inverse_powers
         calls = []

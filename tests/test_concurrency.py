@@ -33,7 +33,6 @@ def _grid_matches_serial():
 
     with pl._cache_lock:
         pl._caches.clear()
-    cl._power_table.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -44,7 +43,6 @@ def _grid_matches_serial():
 
     with pl._cache_lock:
         pl._caches.clear()
-    cl._power_table.cache_clear()
     serial = [one(z) for z in zs]
 
     for (pa, pb), (sa, sb), z in zip(parallel, serial, zs):
@@ -74,33 +72,11 @@ def test_cache_registry_bounded():
     assert len(pl._caches) <= pl._CACHE_SLOTS
 
 
-def test_power_memo_bounded(monkeypatch):
-    table = cl._power_table
-    served = []
-
-    def spy(s, size):
-        served.append(table(s, size))
-        return served[-1]
-
-    monkeypatch.setattr(cl, "_power_table", spy)
-    table.cache_clear()
-    for i in range(40):
-        s = complex(2.5 + i * 1e-3, 0.02 * (i % 3))
-        for x in (0.9, 0.05, 0.01):  # the last needs more terms than the cap
-            cl._series_pair(s, x, 1e-11)
-    assert table.cache_info().currsize <= cl._POWER_SLOTS
-    assert served
-    for arr in served:
-        assert len(arr) <= cl._POWER_CAP
-        assert not arr.flags.writeable
-
-
 def test_power_memo_shared_across_threads():
-    """Threads that share an order's k^-s table get the serial values, bit
-    for bit, with the interpreter switching threads as often as it can."""
+    """Threads summing the series at the same orders get the serial values,
+    bit for bit, with the interpreter switching threads as often as it can."""
     cases = [(complex(3.2 + 0.1 * (i % 3), 0.3 * (i % 2)), 0.1 + 0.37 * i) for i in range(24)]
     serial = [cl._series_pair(s, x, 1e-10) for s, x in cases]
-    cl._power_table.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

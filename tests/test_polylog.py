@@ -18,7 +18,6 @@ from lirep import (
     li_theorem_sin,
     riemann_zeta,
 )
-import lirep.clausen as cl
 import lirep.polylog as pl
 from lirep.polylog import _node_cache
 from lirep.quadrature import gauss_kronrod_panel, integrate_adaptive
@@ -390,7 +389,6 @@ class TestNodeCache:
         def clear():
             with pl._cache_lock:
                 pl._caches.clear()
-            cl._power_table.cache_clear()
 
         clear()
         cold = eval_at(0.5 + 0.3j)

@@ -56,6 +56,18 @@ class TestBasics:
         assert not r.converged
         assert r.evaluations <= 600
 
+    def test_panels_toward_a_singular_endpoint(self):
+        # t^-0.99 exhausts the budget bisecting toward t = 0, down to panels
+        # whose width underflows; capped at e^700 so that the integrand stays
+        # finite at every positive node, subnormal ones included. The panel
+        # estimate must stay finite, with no overflow warning on the way.
+        def f(t):
+            return np.exp(np.minimum(-0.99 * np.log(t), 700.0))
+
+        r = integrate_adaptive(f, 0.0, 1.0, tol=1e-12)
+        assert not r.converged
+        assert math.isfinite(r.error_estimate)
+
     def test_breakpoints_respected(self):
         calls = []
 
