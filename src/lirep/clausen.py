@@ -5,19 +5,25 @@
 * the Hurwitz-zeta reflection route.
 
 The three routes are kept independent so they can cross-check each other.
+The kernel routes' weights take a fourth, _expansion_pair, the expansion of
+Li_s(e^iy) about y = 0, wherever its own error bound allows, and one of
+the series or the reflection elsewhere (_pair_cheapest).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bernoulli import bernoulli_poly
 from .errors import DomainError, ExclusionError, ResourceLimitError
-from .special import _is_real_integer, gamma_complex, hurwitz_zeta, riemann_zeta
+from .quadrature import _EPS
+from .special import _is_real_integer, _sin_pi, gamma_complex, hurwitz_zeta, riemann_zeta
 
 TWO_PI = 2.0 * math.pi
 
@@ -163,13 +169,186 @@ def _series_pair(s: complex, x, tol: float):
     return sin_sums.reshape(xs.shape), cos_sums.reshape(xs.shape)
 
 
+def _stated_ulps(w):
+    """Relative accuracy, in units of eps, that the expansion's bound takes
+    for riemann_zeta(w) and gamma_complex(w) at the w it uses them (s − k
+    and 1 − s, Re s > 1), and for _sin_pi(w / 2): 32 + 8 |w|, since the
+    powers and exponentials inside round in proportion to |w|.
+    tests/test_clausen.py checks it against mpmath."""
+    return 32.0 + 8.0 * abs(w)
+
+
+class _ZetaTable:
+    """The expansion's coefficients at one order s: ζ(s − k)/k! for
+    k = 0, 1, ..., each computed once, in order, as calls ask for them,
+    with a bound on its error; and the pole pair Γ(1 − s) cos(πs/2),
+    Γ(1 − s) sin(πs/2) of S and C, with the eps-multiples bounding the
+    error of a pole term of size 1 (`pole_ulps`, plus `pole_log_ulps` times
+    |log |y||)."""
+
+    def __init__(self, s: complex):
+        self.s = s
+        gamma = gamma_complex(1.0 - s)
+        self.pole = (gamma * _sin_pi(0.5 - 0.5 * s), gamma * _sin_pi(0.5 * s))
+        size = abs(self.pole[0]) + abs(self.pole[1])
+        # Γ(1 − s), sin or cos(πs/2), |y|^(σ−1) and the final products and
+        # sums; the phase t log|y| of |y|^(s−1) carries |s − 1| |log |y|| eps
+        self.pole_ulps = (_stated_ulps(1.0 - s) + _stated_ulps(s) + 4.0) * size
+        self.pole_log_ulps = 2.0 * abs(s - 1.0) * size
+        self._terms: list[complex] = []
+        self._ulps: list[float] = []
+        self._columns: dict[int, np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def terms(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first n entries, and a bound on the error of each in units of eps."""
+        with self._lock:
+            while len(self._terms) < n:
+                k = len(self._terms)
+                w = self.s - k
+                zeta = riemann_zeta(w)
+                ulps = _stated_ulps(w) * abs(zeta)
+                if abs(w.real) > self.s.real:
+                    # w is s − k rounded, by up to eps |w| / 2. The functional
+                    # equation gives ζ'(w) = ζ(w) [log 2π − ψ(1−w) − ζ'/ζ(1−w)]
+                    # + (π/2) cos(πw/2) 2^w π^(w−1) Γ(1−w) ζ(1−w), the bracket
+                    # below 5 + log(1 + |w|) at Re(1 − w) > 2; the second
+                    # part keeps its size next to the trivial zeros of ζ.
+                    x = 1.0 - w.real
+                    free = 2.0 * TWO_PI ** (w.real - 1.0) * abs(gamma_complex(1.0 - w)) * x / (x - 1.0)
+                    slope = (5.0 + math.log1p(abs(w))) * abs(zeta) + 0.5 * math.pi * abs(_sin_pi(0.5 - 0.5 * w)) * free
+                    ulps += 0.5 * abs(w) * slope
+                factorial = math.factorial(k)
+                self._terms.append(zeta / factorial)
+                self._ulps.append(ulps / factorial)
+            return np.array(self._terms[:n]), np.array(self._ulps[:n])
+
+    def columns(self, n: int) -> np.ndarray:
+        """The first n entries as the matrix the powers of y^2 multiply: row
+        j holds the coefficients (−1)^j ζ(s−2j)/(2j)! of y^(2j) in C and
+        (−1)^j ζ(s−2j−1)/(2j+1)! of |y|^(2j+1) in S, as (re, im), then a
+        bound on the error of each in units of eps: its own, and the n + 4
+        ulp by which the powers and the product round each term."""
+        columns = self._columns.get(n)
+        if columns is None:
+            coeff = np.zeros(n + n % 2, dtype=complex)
+            ulps = np.zeros(len(coeff))
+            coeff[:n], ulps[:n] = self.terms(n)
+            coeff[2::4] *= -1.0
+            coeff[3::4] *= -1.0
+            ulps += (n + 4) * np.abs(coeff)
+            columns = np.column_stack((coeff.view(float).reshape(-1, 4), ulps.reshape(-1, 2)))
+            with self._lock:
+                self._columns[n] = columns
+        return columns
+
+
+#: Orders whose tables are kept, least recently used evicted first; polylog
+#: keeps panel memos for as many.
+_TABLE_SLOTS = 16
+
+
+@functools.lru_cache(maxsize=_TABLE_SLOTS)
+def _zeta_table(s: complex) -> _ZetaTable:
+    return _ZetaTable(s)
+
+
+#: Most table entries one call may ask for. gamma_complex raises its
+#: argument to about its own power, which leaves binary64 near Γ(141): the
+#: cap keeps Γ(1 − s) and the Γ(k + 1 − s) inside ζ(s − k) below that at
+#: moderate |Im s|, and an OverflowError past it declines the call.
+_EXPANSION_CAP = 128
+
+
+def _expansion_terms(s: complex, r: float, budget: float) -> int | None:
+    """Table entries that leave a truncation tail of at most budget at
+    |y| = 2 pi r, r <= 1/2; None past _EXPANSION_CAP.
+
+    For k > Re s the functional equation bounds each omitted term,
+    |ζ(s−k)| |y|^k/k! <= 2 (2π)^(σ−1) cosh(π|Im s|/2) ζ(x) Γ(x)/k! r^k,
+    x = k + 1 − σ, with ζ(x) <= x/(x − 1). Each bound is (x^2 − 1)/(x (k+1))
+    r, at most r, times the one before, so the tail from k on is at most
+    the k-th bound over 1 − r."""
+    if r == 0.0:
+        return 1
+    sigma, v = s.real, 0.5 * math.pi * abs(s.imag)
+    log_r = math.log(r)
+    k = math.floor(sigma) + 1
+    x = k + 1.0 - sigma
+    log_bound = (
+        math.log(2.0 / budget)
+        + (sigma - 1.0) * math.log(TWO_PI)
+        + v + math.log1p(math.exp(-2.0 * v)) - math.log(2.0)  # log cosh v
+        - math.log1p(-r)
+        + math.log(x / (x - 1.0)) + math.lgamma(x) - math.lgamma(k + 1.0) + k * log_r
+    )
+    while log_bound > 0.0:
+        if k >= _EXPANSION_CAP:
+            return None
+        log_bound += math.log((x * x - 1.0) / (x * (k + 1.0))) + log_r
+        k += 1
+        x += 1.0
+    return k
+
+
+def _expansion_pair(s: complex, x, tol: float):
+    """(S_s(x), C_s(x)) at a scalar x or at every node of an array from the
+    expansion Li_s(e^μ) = Γ(1−s)(−μ)^(s−1) + Σ_k ζ(s−k) μ^k/k! at μ = ±iy,
+    or None where its bound exceeds tol/2.
+
+    With y = x folded exactly into [-pi, pi],
+      C = Γ(1−s) sin(πs/2) |y|^(s−1) + Σ_j (−1)^j ζ(s−2j) y^(2j)/(2j)!,
+      S = sgn(y) [Γ(1−s) cos(πs/2) |y|^(s−1) + Σ_j (−1)^j ζ(s−2j−1) |y|^(2j+1)/(2j+1)!],
+    the two sums one product of the powers of y^2 with the order's table.
+    The bound has two halves of tol/4: the truncation tail at the largest
+    |y| (_expansion_terms), and the rounding, eps times Σ|terms| at each
+    node, the pole pair included, each term weighted by the bound on its
+    error. Orders with Re s <= 1 and integer orders are declined outright;
+    the bound declines orders near an integer, where the pole pair cancels
+    the pole of one ζ(s − k), and large |Im s|, where the table grows long
+    and its terms large. The pole pair is checked first, so that a
+    declined near-integer order computes no table entries.
+    """
+    if s.real <= 1.0 or _is_real_integer(s):
+        return None
+    xs = np.asarray(x, dtype=float)
+    y = np.array([math.remainder(v, TWO_PI) for v in xs.ravel().tolist()])
+    ay = np.abs(y)
+    n = _expansion_terms(s, float(ay.max()) / TWO_PI, 0.25 * tol)
+    if n is None:
+        return None
+    log_y = np.log(np.where(ay > 0.0, ay, 1.0))
+    mag = ay ** (s.real - 1.0)
+    try:
+        table = _zeta_table(s)
+        rounding = _EPS * mag * (table.pole_ulps + table.pole_log_ulps * np.abs(log_y))
+        if rounding.max() > 0.25 * tol:
+            return None
+        columns = table.columns(n)
+    except OverflowError:  # Γ(1 − s) or a ζ(s − k) past binary64
+        return None
+    sums = np.dot(np.power.outer(ay * ay, np.arange(len(columns))), columns)
+    rounding += _EPS * (sums[:, 4] + ay * sums[:, 5])
+    if rounding.max() > 0.25 * tol:
+        return None
+    pole_sin, pole_cos = table.pole
+    power = mag if s.imag == 0.0 else mag * np.exp(1j * s.imag * log_y)
+    cos_part = pole_cos * power + (sums[:, 0] + 1j * sums[:, 1])
+    sin_part = np.sign(y) * (pole_sin * power + ay * (sums[:, 2] + 1j * sums[:, 3]))
+    if xs.ndim == 0:
+        return complex(sin_part[0]), complex(cos_part[0])
+    return sin_part.reshape(xs.shape), cos_part.reshape(xs.shape)
+
+
 _REFLECTION_THRESHOLD = 1 << 20
 
 
 def _pair_cheapest(s: complex, x, tol: float):
     """(S, C) at a scalar x or at every node of an array, all by one route.
 
-    The planned series length only grows toward the 2*pi lattice, so the
+    The expansion about the lattice comes first, wherever its own bound
+    holds for the whole call (_expansion_pair). Otherwise the planned
+    series length only grows toward the 2*pi lattice, so the
     node nearest it decides: once its truncation index passes a work
     threshold (slow decay, or x drifting toward the lattice where both tail
     bounds explode) every node takes the O(1) Hurwitz reflection, and
@@ -179,6 +358,9 @@ def _pair_cheapest(s: complex, x, tol: float):
     series, which goes up to its hard cap before a node is out of reach.
     """
     xs = np.asarray(x, dtype=float)
+    pair = _expansion_pair(s, xs, tol)
+    if pair is not None:
+        return pair
     u = (xs / TWO_PI) % 1.0
     if np.all((0.0 < u) & (u < 1.0)):
         nearest = min(map(_sin_half, xs.ravel().tolist()))

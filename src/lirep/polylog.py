@@ -22,6 +22,7 @@ from .bernoulli import _check_cap, _poly_magnitude, bernoulli_poly
 from .clausen import (
     TWO_PI,
     _CHUNK,
+    _TABLE_SLOTS,
     _bernoulli_parity,
     _bernoulli_scale,
     _bernoulli_weight,
@@ -157,7 +158,7 @@ class _NodeCache:
 
 _cache_lock = threading.Lock()
 _caches: OrderedDict[tuple[complex, float], _NodeCache] = OrderedDict()
-_CACHE_SLOTS = 16
+_CACHE_SLOTS = _TABLE_SLOTS  # orders kept, as for the expansion tables
 _PANEL_CAP = 1 << 11
 
 

@@ -188,9 +188,19 @@ def integrate_adaptive(
             item[0] for item in frozen
         )
 
+    # The stop test compares total_error() with tol. A running total of the
+    # panel errors stands in for it, with a bound on how far its roundings
+    # can have taken it from the exact sum; only where tol lies within that
+    # bound (widened by total_error's own rounding) is the heap re-summed,
+    # so every decision is the one total_error() would make.
+    running = total_error()
+    slack = 4.0 * _EPS * running
     converged = False
     while True:
-        if total_error() <= tol:
+        if abs(running - tol) <= slack + 4.0 * _EPS * tol:
+            running = total_error()
+            slack = 4.0 * _EPS * running
+        if running <= tol:
             converged = True
             break
         if not heap or evals + 2 * PANEL_SIZE > max_evals:
@@ -202,11 +212,15 @@ def integrate_adaptive(
             # Not splittable in binary64; its error stays but stops competing.
             frozen.append(item)
             continue
+        running += item[0]
+        slack += _EPS * abs(running)
         for lo2, hi2 in ((lo, mid), (mid, hi)):
             v, e, _ = gauss_kronrod_panel(f, lo2, hi2)
             evals += PANEL_SIZE
             heapq.heappush(heap, (-e, counter, lo2, hi2, v))
             counter += 1
+            running += e
+            slack += _EPS * abs(running)
     panels = sorted(heap + frozen, key=lambda item: item[2])
     value = complex(
         math.fsum(p[4].real for p in panels), math.fsum(p[4].imag for p in panels)

@@ -41,13 +41,22 @@ def _is_real_integer(s: complex) -> bool:
     return s.imag == 0.0 and s.real == math.floor(s.real)
 
 
+def _sin_pi(w: complex) -> complex:
+    """sin(pi w), with Re w first reduced exactly to the nearest integer m:
+    (-1)^m sin(pi (w - m)). Rounding pi w instead would cost the zeros of
+    sin(pi w) their relative accuracy, |w| eps / |w - m| of it."""
+    m = round(w.real)
+    value = cmath.sin(math.pi * (w - m))
+    return -value if m % 2 else value
+
+
 def gamma_complex(s) -> complex:
     """Gamma function for complex argument (Lanczos, reflection for Re s < 0.5)."""
     s = complex(s)
     if _is_real_integer(s) and s.real <= 0.0:
         raise PoleError(f"gamma has a pole at s={s.real:g}")
     if s.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * s) * gamma_complex(1.0 - s))
+        return math.pi / (_sin_pi(s) * gamma_complex(1.0 - s))
     z = s - 1.0
     acc = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
@@ -74,6 +83,17 @@ def _eta_cvz(s: complex, n: int = 48) -> complex:
     return acc / d
 
 
+def _expm1(w: complex) -> complex:
+    """e^w - 1 without the cancellation of forming e^w first."""
+    if w.imag == 0.0:
+        return complex(math.expm1(w.real))
+    half = math.sin(0.5 * w.imag)
+    return complex(
+        math.expm1(w.real) * math.cos(w.imag) - 2.0 * half * half,
+        math.exp(w.real) * math.sin(w.imag),
+    )
+
+
 #: Past this |Im s| the accelerated eta sum loses digits (1.7e-7 relative
 #: at 0.5+50i, 6e-4 at 1.5+80i) and riemann_zeta takes hurwitz_zeta(s, 1).
 _ETA_IMAG_MAX = 30.0
@@ -89,7 +109,7 @@ def riemann_zeta(s) -> complex:
     if s == 1.0:
         raise PoleError("zeta has a simple pole at s = 1")
     if s.real > 0.0:
-        denom = 1.0 - 2.0 ** (1.0 - s)
+        denom = -_expm1((1.0 - s) * math.log(2.0))  # 1 - 2^(1-s), also near s = 1
         if abs(denom) > 1e-3 and abs(s.imag) <= _ETA_IMAG_MAX:
             return _eta_cvz(s) / denom
         # The eta-zero neighbourhood (s = 1 + 2*pi*i*k/log 2), and large
@@ -100,7 +120,7 @@ def riemann_zeta(s) -> complex:
     return (
         2.0**s
         * math.pi ** (s - 1.0)
-        * cmath.sin(0.5 * math.pi * s)
+        * _sin_pi(0.5 * s)
         * gamma_complex(1.0 - s)
         * riemann_zeta(1.0 - s)
     )

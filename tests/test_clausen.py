@@ -17,12 +17,15 @@ import lirep.clausen as cl
 from lirep.clausen import (
     _CHUNK,
     _REFLECTION_THRESHOLD,
+    _expansion_pair,
     _pair_cheapest,
     _planned_terms,
     _series_pair,
+    _stated_ulps,
     _truncation_index,
 )
 from lirep.quadrature import NODES
+from lirep.special import _sin_pi, gamma_complex
 
 from oracles import alternating_odd_cubes, clausen_c_brute, clausen_s1, clausen_s_brute
 
@@ -131,10 +134,10 @@ class TestSeriesKernel:
         assert _check_against_plain_series(complex(s), 0.005, 1e-10) > _CHUNK
 
 
-def _mp_pair(s: complex, x: float) -> tuple[complex, complex]:
-    """(S_s(x), C_s(x)) from mpmath's polylog at 30 digits."""
+def _mp_pair(s: complex, x: float, dps: int = 30) -> tuple[complex, complex]:
+    """(S_s(x), C_s(x)) from mpmath's polylog at dps digits."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
         sm = mpmath.mpc(s.real, s.imag)
         plus = mpmath.polylog(sm, mpmath.expj(x))
         minus = mpmath.polylog(sm, mpmath.expj(-x))
@@ -143,9 +146,9 @@ def _mp_pair(s: complex, x: float) -> tuple[complex, complex]:
 
 def _route(s: complex, x: float, tol: float) -> str:
     """R (reflection), A (2^14 terms or more, alone in its block) or S (in
-    a block it may share): what _pair_cheapest does with this node when it
-    is the one nearest the 2*pi lattice; every node of the call takes R or
-    the series with it."""
+    a block it may share): what _pair_cheapest does with this node when the
+    expansion declines the call and the node is the one nearest the 2*pi
+    lattice; every node of the call takes R or the series with it."""
     sin_half = abs(math.sin(0.5 * math.remainder(x, TWO_PI)))
     if _planned_terms(s, sin_half, tol) > _REFLECTION_THRESHOLD:
         return "R"
@@ -153,8 +156,9 @@ def _route(s: complex, x: float, tol: float) -> str:
 
 
 class TestBatchedWeights:
-    """One route for a whole panel of nodes, in one call, picked at the
-    node nearest the 2*pi lattice."""
+    """One route for a whole panel of nodes, in one call: the expansion
+    where its bound holds, otherwise picked at the node nearest the 2*pi
+    lattice."""
 
     @pytest.mark.parametrize(
         "s,tol,xs,routes",
@@ -210,10 +214,12 @@ class TestBatchedWeights:
 
     def test_mixed_call_is_reflected_whole(self):
         # one node past the threshold takes every node to the reflection,
-        # also those whose own series is short
-        s, tol = 1.5 + 0.3j, 1e-4
+        # also those whose own series is short; at |Im s| = 80 the
+        # expansion's table would be too long for the node at x = 3
+        s, tol = 1.5 + 80j, 1e-4
         xs = np.array([2e-5, 6e-4, 0.02, 1.0, 2.0, 3.0, 4.0])
-        assert "".join(_route(s, x, tol) for x in xs) == "RASSSSS"
+        assert _expansion_pair(s, xs, tol) is None
+        assert "".join(_route(s, x, tol) for x in xs) == "RRAASSS"
         got = _pair_cheapest(s, xs, tol)
         want = clausen_via_hurwitz(s, xs / TWO_PI)
         assert np.array_equal(got[0], want.sin_part) and np.array_equal(got[1], want.cos_part)
@@ -224,9 +230,11 @@ class TestBatchedWeights:
 
     def test_lattice_node_sends_a_far_node_to_the_series(self):
         # the reflection is undefined on the lattice, so a node there takes
-        # its neighbour, which alone would be reflected, to the series
-        s, tol = 1.5 + 0.3j, 1e-4
+        # its neighbour, which alone would be reflected, to the series; a
+        # millionth from order 2 the expansion's pole pair cancels too much
+        s, tol = 2.000001 + 0j, 1e-8
         xs = np.array([0.0, 2e-5, 1.0])
+        assert _expansion_pair(s, xs, tol) is None
         assert _route(s, 2e-5, tol) == "R"
         got = _pair_cheapest(s, xs, tol)
         want = _series_pair(s, xs, tol)
@@ -284,6 +292,115 @@ class TestBatchedWeights:
         sin_part, cos_part = _series_pair(s, xs, tol)
         assert len(calls) == 1
         assert list(zip(sin_part.tolist(), cos_part.tolist())) == alone
+
+
+#: Orders for the expansion's grid: the expansion at ordinary, large-Re
+#: and large-|Im| orders, and n ± 10^-j, where its pole pair cancels and the
+#: bound hands more and more nodes to the series or the reflection.
+EXPANSION_ORDERS = [1.05, 1.5 + 0.3j, 2.5, 3.2 + 0.6j, 4.4 - 0.9j, 12.5, 2.5 + 20j] + [
+    n + sign * 10.0**-j for n in range(2, 6) for j in range(1, 7) for sign in (1, -1)
+]
+EXPANSION_NODES = [0.0, 1e-8, math.pi, TWO_PI - 1e-3, -1.1, TWO_PI + 1.1]
+
+
+def _reference_pair(s: complex, x: float, tol: float):
+    """(S_s(x), C_s(x)) from mpmath at 20 digits, or without mpmath from the
+    series (clausen_direct) at tol/10 where it takes at most 2^22 terms;
+    None where neither reaches."""
+    try:
+        import mpmath  # noqa: F401
+    except ImportError:
+        sin_half = abs(math.sin(0.5 * math.remainder(x, TWO_PI)))
+        if sin_half and _planned_terms(s, sin_half, 0.1 * tol) > 1 << 22:
+            return None
+        v = clausen_direct(s, x, 0.1 * tol)
+        return v.sin_part, v.cos_part
+    return _mp_pair(s, x, dps=20)
+
+
+class TestExpansion:
+    """The expansion of Li_s(e^iy) about y = 0 and the bound that decides
+    where it runs."""
+
+    @pytest.mark.parametrize("s", EXPANSION_ORDERS)
+    def test_grid_within_tol_whichever_branch(self, s):
+        # each node is a call of its own, so each takes the branch its own
+        # bound picks. At tol 1e-9 that is the expansion or the series; at
+        # 1e-10 the bound hands x = 2 pi - 1e-3 at 2 ± 1e-6 to the
+        # reflection, which misses there by 1.2e-8 next to an even order
+        s, tol = complex(s), 1e-9
+        checked = 0
+        for x in EXPANSION_NODES:
+            ref = _reference_pair(s, x, tol)
+            if ref is None:
+                continue
+            sin_part, cos_part = _pair_cheapest(s, x, tol)
+            assert abs(sin_part - ref[0]) <= tol, (x, _expansion_pair(s, x, tol) is not None)
+            assert abs(cos_part - ref[1]) <= tol, (x, _expansion_pair(s, x, tol) is not None)
+            checked += 1
+        if not checked:
+            pytest.skip("no reference within reach without mpmath")
+
+    def test_branch_taken_where_expected(self):
+        tol = 1e-10
+        for s in (2.5, 3.2 + 0.6j, 12.5, 1.05):
+            assert _expansion_pair(complex(s), math.pi, tol) is not None
+        # integer orders and Re s <= 1 outright; near-integer orders and
+        # large |Im s| by the bound, at large |y|
+        for s, x in ((3.0, 1.0), (1.0 + 0.5j, 1.0), (3.0001, math.pi), (2.5 + 20j, math.pi)):
+            assert _expansion_pair(complex(s), x, tol) is None
+        # near the lattice the near-integer order's pole pair is small
+        assert _expansion_pair(3.0001 + 0j, 1e-3, tol) is not None
+
+    def test_panel_and_scalar_calls_agree(self):
+        s, tol = 3.2 + 0.6j, 1e-11
+        xs = TWO_PI * (0.25 + 0.25 * NODES)
+        sin_part, cos_part = _expansion_pair(s, xs, tol)
+        assert sin_part.shape == cos_part.shape == xs.shape
+        for x, a, b in zip(xs, sin_part, cos_part):
+            ref = _mp_pair(s, x, dps=20)
+            assert abs(a - ref[0]) <= tol and abs(b - ref[1]) <= tol
+
+    @pytest.mark.parametrize(
+        "s", [1.05, 1.5 + 0.3j, 3.2 + 0.6j, 4.4 - 0.9j, 12.5, 2.5 + 20j, 3.0001, 1.999999, 2.001 + 0.001j]
+    )
+    def test_stated_accuracy_and_table_errors(self, s):
+        # riemann_zeta and gamma_complex within _stated_ulps at the (rounded)
+        # arguments the table takes, and every table entry within its own
+        # bound of ζ(s − k)/k! at the exact s − k
+        mpmath = pytest.importorskip("mpmath")
+        s = complex(s)
+        eps = np.finfo(float).eps
+        terms, ulps = cl._ZetaTable(s).terms(96)
+
+        def close(got, ref, ulps):
+            return abs(got - complex(ref)) <= ulps * eps
+
+        with mpmath.workdps(30):
+            mp_s = mpmath.mpc(s.real, s.imag)
+            g = mpmath.gamma(1 - mp_s)
+            assert close(gamma_complex(1.0 - s), g, _stated_ulps(1.0 - s) * abs(g))
+            for got, ref in ((_sin_pi(0.5 * s), mpmath.sinpi(mp_s / 2)), (_sin_pi(0.5 - 0.5 * s), mpmath.cospi(mp_s / 2))):
+                assert close(got, ref, _stated_ulps(s) * abs(ref))
+            for k in range(96):
+                w = s - k
+                ref = mpmath.zeta(mpmath.mpc(w.real, w.imag))
+                assert close(riemann_zeta(w), ref, _stated_ulps(w) * abs(ref)), k
+                assert close(terms[k], mpmath.zeta(mp_s - k) / mpmath.factorial(k), ulps[k]), k
+
+    def test_entries_next_to_trivial_zeros(self):
+        # s − k for k > 2 Re s is rounded; next to a trivial zero of ζ that
+        # moves the entry far beyond its relative accuracy, and the entry's
+        # bound must hold all the same
+        mpmath = pytest.importorskip("mpmath")
+        s = 2.0 - 1e-8
+        terms, ulps = cl._ZetaTable(complex(s)).terms(40)
+        with mpmath.workdps(40):
+            exact = [mpmath.zeta(mpmath.mpf(s) - k) / mpmath.factorial(k) for k in range(40)]
+        rel = abs(terms[10] - complex(exact[10])) / abs(complex(exact[10]))
+        assert rel > 1e-9
+        for k in range(40):
+            assert abs(terms[k] - complex(exact[k])) <= ulps[k] * np.finfo(float).eps, k
 
 
 class TestClausenBernoulli:

@@ -6,12 +6,14 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import lirep.bernoulli as bn
 import lirep.clausen as cl
 import lirep.polylog as pl
 from lirep import li_series, li_theorem_cos, li_theorem_sin
+from lirep.quadrature import NODES
 
 
 def test_parallel_grid_matches_serial():
@@ -86,6 +88,29 @@ def test_power_memo_shared_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial
+
+
+def test_zeta_table_grown_across_threads():
+    """Threads that take panels of one new order through the expansion, each
+    panel asking the order's table for its own number of entries, get the
+    serial values bit for bit, with the interpreter switching threads as
+    often as it can."""
+    s, tol = 3.7 + 0.4j, 1e-11
+    panels = [cl.TWO_PI * (c + 0.5 * w * NODES) for c, w in ((0.02, 0.04), (0.5, 0.2), (0.1, 0.2), (0.3, 0.1))] * 4
+    random.Random(3).shuffle(panels)
+    cl._zeta_table.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(lambda x: cl._expansion_pair(s, x, tol), panels, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    cl._zeta_table.cache_clear()
+    serial = [cl._expansion_pair(s, x, tol) for x in panels]
+    assert all(pair is not None for pair in serial)
+    for (ps, pc), (ss, sc) in zip(parallel, serial):
+        assert np.array_equal(ps, ss) and np.array_equal(pc, sc)
 
 
 def test_bernoulli_list_grown_across_threads(monkeypatch):

@@ -18,6 +18,7 @@ from lirep import (
     li_theorem_sin,
     riemann_zeta,
 )
+import lirep.clausen as cl
 import lirep.polylog as pl
 from lirep.polylog import _node_cache
 from lirep.quadrature import gauss_kronrod_panel, integrate_adaptive
@@ -361,6 +362,34 @@ class TestNodeCache:
         assert len(calls) == 2
         assert np.array_equal(cache.pairs[(0.1, 0.2, 0.1, 0.3)][0], first)
         assert np.array_equal(cache.pairs[(0.1, 0.2, 0.1, 0.3)][1], cos)
+
+    def test_cold_request_takes_one_table(self, monkeypatch):
+        # a cold theorem6a request at s = 2.5 builds one ζ(s − k) table and
+        # neither sums a Dirichlet series nor takes the reflection
+        tables = []
+
+        class Spy(cl._ZetaTable):
+            def __init__(self, s):
+                tables.append(s)
+                super().__init__(s)
+
+        def forbidden(*args):
+            raise AssertionError("series or reflection on the weight path")
+
+        monkeypatch.setattr(cl, "_ZetaTable", Spy)
+        monkeypatch.setattr(cl, "_series_pair", forbidden)
+        monkeypatch.setattr(cl, "clausen_via_hurwitz", forbidden)
+        cl._zeta_table.cache_clear()
+        with pl._cache_lock:
+            pl._caches.clear()
+        try:
+            r = li_theorem_sin(2.5, 0.5)
+        finally:
+            cl._zeta_table.cache_clear()
+        assert tables == [2.5]
+        ref, _ = _li_reference(2.5, 0.5)
+        assert r.converged
+        assert abs(r.value - ref) <= r.error_estimate
 
     def test_panels_bounded_oldest_evicted_first(self):
         cap = pl._PANEL_CAP

@@ -1,3 +1,4 @@
+import heapq
 import math
 from fractions import Fraction
 
@@ -132,6 +133,82 @@ class TestErrorHonesty:
         true_err = abs(r.value - exact)
         assert true_err <= 10.0 * max(r.error_estimate, 1e-16)
         assert true_err <= 1e-9
+
+
+def _resumming_reference(f, a, b, tol, max_evals=100_000, breakpoints=()):
+    """The adaptive integrator with the exact fsum of every panel's error
+    before each stop test: the reference the running total must agree with
+    bit for bit."""
+    cuts = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
+    heap, frozen, counter, evals = [], [], 0, 0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        v, e, _ = gauss_kronrod_panel(f, lo, hi)
+        evals += 15
+        heapq.heappush(heap, (-e, counter, lo, hi, v))
+        counter += 1
+
+    def total_error():
+        return -math.fsum(i[0] for i in heap) - math.fsum(i[0] for i in frozen)
+
+    converged = False
+    while True:
+        if total_error() <= tol:
+            converged = True
+            break
+        if not heap or evals + 30 > max_evals:
+            break
+        item = heapq.heappop(heap)
+        _, _, lo, hi, _ = item
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            frozen.append(item)
+            continue
+        for lo2, hi2 in ((lo, mid), (mid, hi)):
+            v, e, _ = gauss_kronrod_panel(f, lo2, hi2)
+            evals += 15
+            heapq.heappush(heap, (-e, counter, lo2, hi2, v))
+            counter += 1
+    panels = sorted(heap + frozen, key=lambda item: item[2])
+    value = complex(math.fsum(p[4].real for p in panels), math.fsum(p[4].imag for p in panels))
+    return value, total_error(), evals, converged
+
+
+def _singular_endpoint(t):
+    return np.exp(np.minimum(-0.99 * np.log(t), 700.0))
+
+
+class TestRunningTotal:
+    """The integrator's running error total makes the stop decisions the full
+    re-sum made: same values, estimates, evaluation counts and flags."""
+
+    @pytest.mark.parametrize(
+        "f,a,b,tol,kwargs",
+        [(f, a, b, tol, {}) for f, a, b, _ in HONESTY_SUITE for tol in (1e-10, 1e-13)]
+        + [
+            (_singular_endpoint, 0.0, 1.0, 1e-12, {}),
+            (_singular_endpoint, 0.0, 1.0, 1e-6, {"max_evals": 20_000}),
+            (lambda t: 1.0 / (1e-14 + (t - 0.123456) ** 2), 0.0, 1.0, 1e-12, {"max_evals": 600}),
+            (lambda t: np.exp((1j - 1.0) * t), 0.0, 40.0, 1e-12, {}),
+            (lambda t: np.ones_like(t), 0.0, 1.0, 1e-10, {"breakpoints": (0.25,)}),
+            (integrand_with_limits("tan", 3), 0.0, 0.5, 1e-12, {}),
+            (integrand_with_limits("cot", 2), 0.0, 1.0, 1e-12, {}),
+        ],
+    )
+    def test_same_as_full_resum(self, f, a, b, tol, kwargs):
+        r = integrate_adaptive(f, a, b, tol=tol, **kwargs)
+        assert (r.value, r.error_estimate, r.evaluations, r.converged) == _resumming_reference(
+            f, a, b, tol, **kwargs
+        )
+
+    @pytest.mark.parametrize("f", [_singular_endpoint, lambda t: 1.0 / np.sqrt(t), lambda t: np.abs(t - 0.3) ** 0.1])
+    @pytest.mark.parametrize("evals", [315, 1515, 3015])
+    def test_tol_equal_to_a_total_on_the_way(self, f, evals):
+        # tol is the exact total some bisections in, where the running
+        # total may sit an ulp off: the decision must go to the re-sum
+        tol = integrate_adaptive(f, 0.0, 1.0, tol=1e-14, max_evals=evals).error_estimate
+        r = integrate_adaptive(f, 0.0, 1.0, tol=tol)
+        assert r.converged
+        assert (r.value, r.error_estimate, r.evaluations, r.converged) == _resumming_reference(f, 0.0, 1.0, tol)
 
 
 class TestPatches:

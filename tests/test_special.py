@@ -178,3 +178,27 @@ class TestHurwitzZetaArrays:
             hurwitz_zeta(3, np.array([0.5, -1.0]))
         with pytest.raises(DomainError, match="Re a > 0"):
             hurwitz_zeta(3, np.array([0.5, -0.5 + 1j]))
+
+
+class TestNearSingularities:
+    """Γ next to its poles and ζ next to its trivial zeros take sin(π w)
+    with Re w first reduced exactly to the nearest integer; ζ next to s = 1
+    takes 1 − 2^(1−s) as an expm1. Rounding π w, or 2^(1−s), cost these
+    points up to 6e-11 and 3e-14 of relative accuracy."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("j", range(1, 9))
+    def test_gamma_and_zeta_at_negative_integers(self, n, j):
+        mpmath = pytest.importorskip("mpmath")
+        for s in (-n + 10.0**-j, -n - 10.0**-j):
+            with mpmath.workdps(30):
+                g, z = complex(mpmath.gamma(s)), complex(mpmath.zeta(s))
+            assert abs(gamma_complex(s) - g) <= 1e-14 * abs(g)
+            assert abs(riemann_zeta(s) - z) <= 1e-14 * abs(z)
+
+    @pytest.mark.parametrize("s", [1.1, 1.01, 1.002, 1.0015, 1.002 + 0.001j, 1.01 - 0.3j])
+    def test_zeta_next_to_its_pole(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = complex(mpmath.zeta(mpmath.mpc(complex(s).real, complex(s).imag)))
+        assert abs(riemann_zeta(s) - ref) <= 4e-15 * abs(ref)
