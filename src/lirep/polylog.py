@@ -35,7 +35,14 @@ from .errors import (
     ResourceLimitError,
     UnsupportedCombinationError,
 )
-from .quadrature import _EPS, QuadratureResult, _check_tol, integrate_adaptive, integrand_with_limits
+from .quadrature import (
+    _EPS,
+    PANEL_SIZE,
+    QuadratureResult,
+    _check_tol,
+    integrate_adaptive,
+    integrand_with_limits,
+)
 from .special import _is_real_integer, gamma_complex
 
 SERIES_TERM_CAP = 1 << 23
@@ -142,8 +149,10 @@ class _NodeCache:
         whole, as it is, in one call, so its values come from that
         computation alone and never from what other panels did. At most
         _PANEL_CAP panels are kept, the oldest evicted first; an evicted
-        panel is computed again, to the same bits."""
-        key = tuple(t_arr.tolist())
+        panel is computed again, to the same bits. An array of any other
+        shape is one entry too; the theorem routes hand over one panel,
+        a row of the quadrature's node array, per call."""
+        key = tuple(t_arr.ravel().tolist())
         pair = self.pairs.get(key)
         if pair is None:
             pair = _pair_cheapest(self.s, TWO_PI * t_arr, self.tol)
@@ -256,7 +265,12 @@ def _theorem_route(s, z, delta: float, tol: float, tag: RepresentationTag) -> Po
     else:
         cache = _node_cache(s, wtol)
         idx = 0 if channel == "sin" else 1
-        weight = lambda t: cache.channel(t, idx)
+
+        def weight(t):
+            # a panel per lookup, so that its weights come from it alone
+            rows = [cache.channel(row, idx) for row in t.reshape(-1, PANEL_SIZE)]
+            return np.concatenate(rows).reshape(t.shape)
+
         # node values carry up to wtol of error each; after the 1/delta
         # scaling that contributes at most wtol * int|kernel| / delta
         weight_err = wtol * _kernel_l1_bound(kind, z) / delta

@@ -14,6 +14,8 @@ import numpy as np
 from .bernoulli import bernoulli_number
 from .errors import DomainError, PoleError
 
+_EPS = float(np.finfo(float).eps)
+
 # Lanczos approximation, Godfrey's 15-coefficient set with g = 607/128.
 # Roughly 1e-15 relative accuracy on the real axis, ~1e-13 over the
 # half-plane we use it on.
@@ -98,9 +100,25 @@ def _expm1(w: complex) -> complex:
 #: at 0.5+50i, 6e-4 at 1.5+80i) and riemann_zeta takes hurwitz_zeta(s, 1).
 _ETA_IMAG_MAX = 30.0
 
+#: Most terms riemann_zeta sums directly: from Re s of about 11 on, this
+#: many leave a tail below eps/4, for less than the eta sum's 48.
+_DIRECT_TERMS = 32
+
+
+def _direct_terms(sigma: float) -> int | None:
+    """The least N whose tail bound N^(1-sigma)/(sigma-1) (the integral
+    of x^-sigma past N) is at most eps/4, or None past _DIRECT_TERMS."""
+    if sigma <= 1.0:
+        return None
+    log_n = math.log((sigma - 1.0) * _EPS / 4.0) / (1.0 - sigma)
+    if log_n > math.log(_DIRECT_TERMS):
+        return None
+    return math.ceil(math.exp(log_n))
+
 
 def riemann_zeta(s) -> complex:
-    """Riemann zeta via the accelerated alternating series (Re s > 0), or
+    """Riemann zeta as sum_{n<=N} n^-s where a few terms do (Re s above
+    about 11), else via the accelerated alternating series (Re s > 0), or
     as hurwitz_zeta(s, 1) near the series' artefacts.
 
     Re s <= 0 is reached through the functional equation. s = 1 is a pole.
@@ -108,6 +126,10 @@ def riemann_zeta(s) -> complex:
     s = complex(s)
     if s == 1.0:
         raise PoleError("zeta has a simple pole at s = 1")
+    terms = _direct_terms(s.real)
+    if terms is not None:
+        # smallest terms first
+        return complex(_power(np.arange(float(terms), 0.0, -1.0), -s).sum())
     if s.real > 0.0:
         denom = -_expm1((1.0 - s) * math.log(2.0))  # 1 - 2^(1-s), also near s = 1
         if abs(denom) > 1e-3 and abs(s.imag) <= _ETA_IMAG_MAX:

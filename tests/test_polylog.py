@@ -23,7 +23,7 @@ import lirep.polylog as pl
 from lirep.polylog import _node_cache
 from lirep.quadrature import gauss_kronrod_panel, integrate_adaptive
 
-from oracles import li_brute
+from oracles import li_brute, zeta_direct
 
 EPS = 2.0**-52
 
@@ -458,3 +458,55 @@ class TestNodeCache:
         first = eval_at(0.5)
         eval_at(0.97j)
         assert eval_at(0.5) == first
+
+
+#: (tag, s, z, evaluations) of fixed requests at tol 1e-10, as counted when
+#: the quadrature still bisected one panel at a time. Bisecting a round at
+#: a time may spend a few more; more than 10% would be a regression.
+_PINNED_EVALUATIONS = [
+    ("theorem6a", 2.75, 0.3, 345),
+    ("theorem6a", 2.75, 0.8, 645),
+    ("theorem6a", 2.75, 0.97, 975),
+    ("theorem6a", 3.25 + 0.75j, 0.3, 285),
+    ("theorem6a", 3.25 + 0.75j, 0.8, 615),
+    ("theorem6a", 3.25 + 0.75j, 0.97, 945),
+    ("theorem6b", 2.75, 0.3, 585),
+    ("theorem6b", 2.75, 0.8, 885),
+    ("theorem6b", 2.75, 0.97, 1185),
+    ("theorem6b", 3.25 + 0.75j, 0.3, 465),
+    ("theorem6b", 3.25 + 0.75j, 0.8, 765),
+    ("theorem6b", 3.25 + 0.75j, 0.97, 1095),
+    ("theorem6c", 2.75, 0.3, 585),
+    ("theorem6c", 2.75, 0.8, 885),
+    ("theorem6c", 2.75, 0.97, 1215),
+    ("theorem6c", 3.25 + 0.75j, 0.3, 465),
+    ("theorem6c", 3.25 + 0.75j, 0.8, 765),
+    ("theorem6c", 3.25 + 0.75j, 0.97, 1095),
+    ("classical-exp", 2.5, 0.8, 465),
+    ("classical-exp", 0.4, 0.9j, 2715),
+]
+
+
+class TestEvaluationCounts:
+    @pytest.mark.parametrize("tag,s,r,pinned", _PINNED_EVALUATIONS)
+    def test_within_a_tenth_of_the_pinned_count(self, tag, s, r, pinned):
+        # theorem routes at z = r e^{2i}; classical-exp at z = r as given
+        z = cmath.rect(r, 2.0) if tag.startswith("theorem") else r
+        res = li_eval(PolylogRequest(s=s, z=z, representation=RepresentationTag(tag), tol=1e-10))
+        assert res.converged
+        assert res.quadrature.evaluations <= 1.10 * pinned
+        ref, ref_err = _li_reference(s, z)
+        assert abs(res.value - ref) <= res.error_estimate + ref_err + 8 * EPS * max(1.0, abs(ref))
+
+    def test_zeta_odd_cot(self):
+        value, q = pl._zeta_odd("cot", 2, 1.0, 1e-10)
+        assert q.converged
+        assert q.evaluations <= 1.10 * 45
+        try:
+            import mpmath
+        except ImportError:
+            ref = zeta_direct(5).real
+        else:
+            ref = float(mpmath.zeta(5))
+        scale = abs(value / q.value.real)  # the prefactor of the integral
+        assert abs(value - ref) <= scale * q.error_estimate + 8 * EPS

@@ -136,38 +136,47 @@ class TestErrorHonesty:
 
 
 def _resumming_reference(f, a, b, tol, max_evals=100_000, breakpoints=()):
-    """The adaptive integrator with the exact fsum of every panel's error
-    before each stop test: the reference the running total must agree with
-    bit for bit."""
+    """The adaptive integrator with an exact fsum over the panels before
+    each test against a bound: of their errors for the stop test at tol, of
+    their errors less their floors (50 eps resabs) for the test at tol/8
+    that closes a round. This is the reference the running totals must
+    agree with bit for bit. Each round's halves go to gauss_kronrod_panel
+    in one call, in the order the integrator makes them."""
     cuts = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
-    heap, frozen, counter, evals = [], [], 0, 0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        v, e, _ = gauss_kronrod_panel(f, lo, hi)
-        evals += 15
-        heapq.heappush(heap, (-e, counter, lo, hi, v))
-        counter += 1
+    heap, frozen, evals = [], [], 0
+
+    def add_panels(los, his):
+        nonlocal evals
+        for lo, hi, (v, e, resabs) in zip(los, his, gauss_kronrod_panel(f, np.array(los), np.array(his))):
+            heapq.heappush(heap, (-e, evals // 15, lo, hi, v, e - 50.0 * 2.0**-52 * resabs))
+            evals += 15
 
     def total_error():
         return -math.fsum(i[0] for i in heap) - math.fsum(i[0] for i in frozen)
 
+    def total_excess():
+        return math.fsum(i[5] for i in heap) + math.fsum(i[5] for i in frozen)
+
+    add_panels(cuts[:-1], cuts[1:])
     converged = False
     while True:
         if total_error() <= tol:
             converged = True
             break
-        if not heap or evals + 30 > max_evals:
+        split = []
+        while heap and evals + 30 * (len(split) + 1) <= max_evals:
+            if split and total_excess() <= tol / 8:
+                break
+            item = heapq.heappop(heap)
+            _, _, lo, hi, _, _ = item
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                frozen.append(item)
+                continue
+            split.append((lo, mid, hi))
+        if not split:
             break
-        item = heapq.heappop(heap)
-        _, _, lo, hi, _ = item
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            frozen.append(item)
-            continue
-        for lo2, hi2 in ((lo, mid), (mid, hi)):
-            v, e, _ = gauss_kronrod_panel(f, lo2, hi2)
-            evals += 15
-            heapq.heappush(heap, (-e, counter, lo2, hi2, v))
-            counter += 1
+        add_panels([x for lo, mid, hi in split for x in (lo, mid)], [x for lo, mid, hi in split for x in (mid, hi)])
     panels = sorted(heap + frozen, key=lambda item: item[2])
     value = complex(math.fsum(p[4].real for p in panels), math.fsum(p[4].imag for p in panels))
     return value, total_error(), evals, converged
@@ -204,11 +213,120 @@ class TestRunningTotal:
     @pytest.mark.parametrize("evals", [315, 1515, 3015])
     def test_tol_equal_to_a_total_on_the_way(self, f, evals):
         # tol is the exact total some bisections in, where the running
-        # total may sit an ulp off: the decision must go to the re-sum
-        tol = integrate_adaptive(f, 0.0, 1.0, tol=1e-14, max_evals=evals).error_estimate
+        # total may sit an ulp off: the decision must go to the re-sum. The
+        # rounds depend on tol, so tol is taken where the total a run at tol
+        # ends with (at its budget or at its stop) is tol itself.
+        tol = 1e-14
+        for _ in range(20):
+            total = integrate_adaptive(f, 0.0, 1.0, tol=tol, max_evals=evals).error_estimate
+            if total == tol:
+                break
+            tol = total
+        assert total == tol
         r = integrate_adaptive(f, 0.0, 1.0, tol=tol)
         assert r.converged
         assert (r.value, r.error_estimate, r.evaluations, r.converged) == _resumming_reference(f, 0.0, 1.0, tol)
+
+
+#: Evaluation counts (None where the budget ran out first) of HONESTY_SUITE
+#: at tight tolerances, as counted when the quadrature bisected one panel
+#: at a time.
+_SERIAL_COUNTS = {
+    1e-13: [15, 15, 15, 105, 45, 45, 795, 225, 15, 105, 165, 15, 195, None, 45, 15, 15, 15, 45, 15],
+    1e-12: [15, 15, 15, 105, 15, 45, 705, 195, 15, 75, 105, 15, 165, 45, 45, 15, 15, 15, 45, 15],
+}
+
+
+class TestTightTolerances:
+    """Where 50 eps times the integral of |f|, which the panels' error
+    floors sum to however they are cut, lies between tol/8 and tol, a round
+    must still end once the error above the floors is small: bisecting the
+    floors away cannot work, and would only burn the budget."""
+
+    @pytest.mark.parametrize("scale,tol", [(3.0, 1e-13), (30.0, 1e-12)])
+    def test_sqrt_endpoint_in_the_floor_band(self, scale, tol):
+        # the integral of |f| is 2 scale / 3: its floors come to between
+        # tol/8 and tol; serial bisection converged in 825 evaluations
+        r = integrate_adaptive(lambda t: scale * np.sqrt(t), 0.0, 1.0, tol=tol)
+        assert r.converged
+        assert r.evaluations <= 1.10 * 825
+        assert abs(r.value - 2.0 * scale / 3.0) <= r.error_estimate
+
+    @pytest.mark.parametrize("tol", sorted(_SERIAL_COUNTS))
+    def test_suite_counts_near_serial_bisection(self, tol):
+        # A round may bisect a panel or two that serial bisection stopped
+        # short of; per case that is at most one bisection (30 evaluations)
+        # over a tenth more, over the suite at most a tenth more.
+        counts = []
+        for (f, a, b, _), serial in zip(HONESTY_SUITE, _SERIAL_COUNTS[tol]):
+            r = integrate_adaptive(f, a, b, tol=tol)
+            assert r.converged == (serial is not None)
+            if serial is not None:
+                assert r.evaluations <= 1.10 * serial + 30
+                counts.append((r.evaluations, serial))
+        assert sum(n for n, _ in counts) <= 1.10 * sum(serial for _, serial in counts)
+
+
+class TestBudget:
+    def test_a_round_stops_at_the_budget(self):
+        # 700 evaluations, not 15 plus a multiple of 30, pay for the first
+        # seven calls (41 panels, 615 evaluations) and two bisections of
+        # the eighth round, which bisects twelve panels when the budget
+        # allows
+        def needle(t):
+            return 1.0 / (1e-14 + (t - 0.123456) ** 2)
+
+        rows = []
+
+        def f(t):
+            rows.append(len(t))
+            return needle(t)
+
+        r = integrate_adaptive(f, 0.0, 1.0, tol=1e-12, max_evals=700)
+        cut = list(rows)
+        rows.clear()
+        integrate_adaptive(f, 0.0, 1.0, tol=1e-12, max_evals=100_000)
+        assert not r.converged
+        assert 700 - 30 < r.evaluations <= 700
+        assert cut[:-1] == rows[: len(cut) - 1]
+        assert cut[-1] < rows[len(cut) - 1]
+        assert (r.value, r.error_estimate, r.evaluations, r.converged) == _resumming_reference(
+            needle, 0.0, 1.0, 1e-12, max_evals=700
+        )
+
+
+class TestPanelBatches:
+    """An array of panels goes to f in one call, one panel a row, and each
+    row's result is that of the panel's own call."""
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda t: np.exp(t),
+            lambda t: np.exp(14j * math.pi * t),
+            lambda t: np.sin(40.0 * t) * (1.0 + 1j * t),
+            lambda t: np.abs(t - 0.3) ** 0.1,
+            _singular_endpoint,
+        ],
+    )
+    def test_rows_agree_with_single_panels(self, f):
+        rng = np.random.default_rng(7)
+        lo = np.sort(rng.random(12))
+        lo[0] = 0.0
+        hi = lo + rng.random(12) * 0.3
+        hi[0] = 1e-300  # a panel at a singular endpoint
+        shapes = []
+
+        def spy(t):
+            shapes.append(t.shape)
+            return f(t)
+
+        rows = gauss_kronrod_panel(spy, lo, hi)
+        assert shapes == [(12, 15)]
+        for (value, err, _), a, b in zip(rows, lo.tolist(), hi.tolist()):
+            one, one_err, _ = gauss_kronrod_panel(f, a, b)
+            assert abs(value - one) <= 2 * np.spacing(abs(one))
+            assert abs(err - one_err) <= 2 * np.spacing(one_err)
 
 
 class TestPatches:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lirep import DomainError, PoleError, gamma_complex, hurwitz_zeta, riemann_zeta
+from lirep.clausen import _stated_ulps
 
 from oracles import zeta_direct, zeta_odd_lattice
 
@@ -78,6 +79,18 @@ class TestRiemannZeta:
     )
     def test_large_imaginary_part(self, s, ref):
         assert riemann_zeta(s) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "s", [10.9, 10.9 - 3j, 11.5, 11.5 + 2j, 20.0, 20.0 + 3j, 60.0 - 1.5j, 127.0, 127.0 + 3j]
+    )
+    def test_direct_sum_region(self, s):
+        # from Re s of about 11 on, a few terms of sum n^-s leave a tail
+        # below eps/4 and are summed directly; 10.9 sits just below that
+        mpmath = pytest.importorskip("mpmath")
+        s = complex(s)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+        assert abs(riemann_zeta(s) - ref) <= _stated_ulps(s) * abs(ref) * np.finfo(float).eps
 
     def test_negative_axis_continuation(self):
         # zeta(-1) = -1/12, zeta(0) = -1/2, trivial zeros at -2, -4
