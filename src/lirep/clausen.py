@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -179,12 +180,14 @@ def _stated_ulps(w):
 
 
 class _ZetaTable:
-    """The expansion's coefficients at one order s: ζ(s − k)/k! for
-    k = 0, 1, ..., each computed once, in order, as calls ask for them,
-    with a bound on its error; and the pole pair Γ(1 − s) cos(πs/2),
-    Γ(1 − s) sin(πs/2) of S and C, with the eps-multiples bounding the
-    error of a pole term of size 1 (`pole_ulps`, plus `pole_log_ulps` times
-    |log |y||)."""
+    """The expansion's coefficients at one order s, one array of rows grown
+    as calls ask: row j holds (−1)^j ζ(s−2j)/(2j)! of y^(2j) in C and
+    (−1)^j ζ(s−2j−1)/(2j+1)! of |y|^(2j+1) in S as (re, im), a bound on the
+    error of each in units of eps, and their moduli. A row always holds
+    both entries, so no row depends on the lengths asked for before. And
+    the pole pair Γ(1 − s) cos(πs/2), Γ(1 − s) sin(πs/2) of S and C, with
+    the eps-multiples bounding the error of a pole term of size 1
+    (`pole_ulps`, plus `pole_log_ulps` times |log |y||)."""
 
     def __init__(self, s: complex):
         self.s = s
@@ -195,52 +198,43 @@ class _ZetaTable:
         # sums; the phase t log|y| of |y|^(s−1) carries |s − 1| |log |y|| eps
         self.pole_ulps = (_stated_ulps(1.0 - s) + _stated_ulps(s) + 4.0) * size
         self.pole_log_ulps = 2.0 * abs(s - 1.0) * size
-        self._terms: list[complex] = []
-        self._ulps: list[float] = []
-        self._columns: dict[int, np.ndarray] = {}
+        self._rows = np.empty((0, 8))
         self._lock = threading.Lock()
 
-    def terms(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The first n entries, and a bound on the error of each in units of eps."""
-        with self._lock:
-            while len(self._terms) < n:
-                k = len(self._terms)
-                w = self.s - k
-                zeta = riemann_zeta(w)
-                ulps = _stated_ulps(w) * abs(zeta)
-                if abs(w.real) > self.s.real:
-                    # w is s − k rounded, by up to eps |w| / 2. The functional
-                    # equation gives ζ'(w) = ζ(w) [log 2π − ψ(1−w) − ζ'/ζ(1−w)]
-                    # + (π/2) cos(πw/2) 2^w π^(w−1) Γ(1−w) ζ(1−w), the bracket
-                    # below 5 + log(1 + |w|) at Re(1 − w) > 2; the second
-                    # part keeps its size next to the trivial zeros of ζ.
-                    x = 1.0 - w.real
-                    free = 2.0 * TWO_PI ** (w.real - 1.0) * abs(gamma_complex(1.0 - w)) * x / (x - 1.0)
-                    slope = (5.0 + math.log1p(abs(w))) * abs(zeta) + 0.5 * math.pi * abs(_sin_pi(0.5 - 0.5 * w)) * free
-                    ulps += 0.5 * abs(w) * slope
-                factorial = math.factorial(k)
-                self._terms.append(zeta / factorial)
-                self._ulps.append(ulps / factorial)
-            return np.array(self._terms[:n]), np.array(self._ulps[:n])
+    def _entry(self, k: int) -> tuple[complex, float]:
+        """(−1)^(k//2) ζ(s − k)/k!, and a bound on its error in units of eps."""
+        w = self.s - k
+        zeta = riemann_zeta(w)
+        ulps = _stated_ulps(w) * abs(zeta)
+        if abs(w.real) > self.s.real:
+            # w is s − k rounded, by up to eps |w| / 2. The functional
+            # equation gives ζ'(w) = ζ(w) [log 2π − ψ(1−w) − ζ'/ζ(1−w)]
+            # + (π/2) cos(πw/2) 2^w π^(w−1) Γ(1−w) ζ(1−w), the bracket
+            # below 5 + log(1 + |w|) at Re(1 − w) > 2; the second
+            # part keeps its size next to the trivial zeros of ζ.
+            x = 1.0 - w.real
+            free = 2.0 * TWO_PI ** (w.real - 1.0) * abs(gamma_complex(1.0 - w)) * x / (x - 1.0)
+            slope = (5.0 + math.log1p(abs(w))) * abs(zeta) + 0.5 * math.pi * abs(_sin_pi(0.5 - 0.5 * w)) * free
+            ulps += 0.5 * abs(w) * slope
+        factorial = math.factorial(k)
+        return (-zeta if k // 2 % 2 else zeta) / factorial, ulps / factorial
 
     def columns(self, n: int) -> np.ndarray:
-        """The first n entries as the matrix the powers of y^2 multiply: row
-        j holds the coefficients (−1)^j ζ(s−2j)/(2j)! of y^(2j) in C and
-        (−1)^j ζ(s−2j−1)/(2j+1)! of |y|^(2j+1) in S, as (re, im), then a
-        bound on the error of each in units of eps: its own, and the n + 4
-        ulp by which the powers and the product round each term."""
-        columns = self._columns.get(n)
-        if columns is None:
-            coeff = np.zeros(n + n % 2, dtype=complex)
-            ulps = np.zeros(len(coeff))
-            coeff[:n], ulps[:n] = self.terms(n)
-            coeff[2::4] *= -1.0
-            coeff[3::4] *= -1.0
-            ulps += (n + 4) * np.abs(coeff)
-            columns = np.column_stack((coeff.view(float).reshape(-1, 4), ulps.reshape(-1, 2)))
-            with self._lock:
-                self._columns[n] = columns
-        return columns
+        """The first ceil(n/2) rows, which hold the first n entries."""
+        count = -(-n // 2)
+        with self._lock:
+            if len(self._rows) < count:
+                entries = [self._entry(k) for k in range(2 * len(self._rows), 2 * count)]
+                coeff, ulps = (np.array(part).reshape(-1, 2) for part in zip(*entries))
+                new = np.column_stack((coeff.view(float), ulps, np.abs(coeff)))
+                self._rows = np.concatenate((self._rows, new))
+            return self._rows[:count]
+
+    def terms(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first n entries ζ(s − k)/k!, and their error bounds in units of eps."""
+        rows = self.columns(n)
+        sign = np.where(np.arange(len(rows)) % 2, -1.0, 1.0)[:, None]
+        return (sign * rows[:, :4]).view(complex).ravel()[:n], rows[:, 4:6].ravel()[:n]
 
 
 #: Orders whose tables are kept, least recently used evicted first; polylog
@@ -328,7 +322,9 @@ def _expansion_pair(s: complex, x, tol: float):
     except OverflowError:  # Γ(1 − s) or a ζ(s − k) past binary64
         return None
     sums = np.dot(np.power.outer(ay * ay, np.arange(len(columns))), columns)
-    rounding += _EPS * (sums[:, 4] + ay * sums[:, 5])
+    # the entries' own errors, and the n + 4 ulp the powers and product add
+    n = 2 * len(columns)
+    rounding += _EPS * (sums[:, 4] + ay * sums[:, 5] + (n + 4) * (sums[:, 6] + ay * sums[:, 7]))
     if rounding.max() > 0.25 * tol:
         return None
     pole_sin, pole_cos = table.pole
@@ -384,6 +380,7 @@ def _two_pi_power_over_factorial(m: int) -> float:
     """(2pi)^m / m! from the exact rational of TWO_PI, rounded once (int / int
     is correctly rounded): m! overflows binary64 from m = 171, the quotient
     stays finite up to the Bernoulli cap."""
+    m = operator.index(m)  # a numpy integer would wrap num**m around in int64
     num, den = TWO_PI.as_integer_ratio()
     return num**m / (den**m * math.factorial(m))
 

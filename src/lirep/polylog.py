@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -629,7 +630,8 @@ def li_inversion_integer(n: int, z, tol: float = 1e-10) -> PolylogResult:
     n = 2^70, and complex() overflows past 1e308.
     """
     _check_tol(tol)
-    if isinstance(n, int):
+    if isinstance(n, (int, np.integer)):  # numpy integers as Python ints
+        n = operator.index(n)
         _check_cap(n)
     _check_finite(n, z)
     if n < 0:

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from .bernoulli import bernoulli_number
 from .errors import DomainError, PoleError
-
-_EPS = float(np.finfo(float).eps)
 
 # Lanczos approximation, Godfrey's 15-coefficient set with g = 607/128.
 # Roughly 1e-15 relative accuracy on the real axis, ~1e-13 over the
@@ -67,22 +66,35 @@ def gamma_complex(s) -> complex:
     return math.sqrt(2.0 * math.pi) * w ** (z + 0.5) * cmath.exp(-w) * acc
 
 
-def _eta_cvz(s: complex, n: int = 48) -> complex:
-    """Alternating zeta sum_{k>=1} (-1)^{k-1} k^{-s}, accelerated.
-
-    Cohen-Rodriguez Villegas-Zagier Chebyshev scheme; the error shrinks
-    like (3+sqrt(8))^{-n}, so n=48 leaves enormous headroom in binary64.
-    """
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = (d + 1.0 / d) / 2.0
-    b = -1.0
-    c = -d
-    acc = 0.0 + 0.0j
+def _cvz_weights(n: int) -> np.ndarray:
+    """The weights c_k / d, k < n, of the Cohen-Rodriguez Villegas-Zagier
+    (2000) accelerated alternating sum, each rounded once from its exact
+    rational: d = T_n(3), a Chebyshev value, is an integer."""
+    d, t = 1, 3  # T_j(3) and T_{j+1}(3), T_{j+2} = 6 T_{j+1} - T_j
+    for _ in range(n):
+        d, t = t, 6 * t - d
+    b, c = Fraction(-1), Fraction(-d)
+    weights = []
     for k in range(n):
         c = b - c
-        acc += c * (k + 1.0) ** (-s)
-        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-    return acc / d
+        weights.append(float(c / d))
+        b = b * 2 * (k + n) * (k - n) / ((2 * k + 1) * (k + 1))
+    return np.array(weights)
+
+
+#: The error of the accelerated sum shrinks like (3 + sqrt 8)^-n, so 48
+#: weights leave enormous headroom in binary64.
+_ETA_WEIGHTS = _cvz_weights(48)
+_ETA_BASES = np.arange(1.0, len(_ETA_WEIGHTS) + 1.0)
+
+
+def _eta_cvz(s: complex) -> tuple[complex, float]:
+    """Alternating zeta sum_{k>=1} (-1)^{k-1} k^{-s}, accelerated, and the
+    sum of the moduli of its terms. The real and imaginary parts are each
+    summed by fsum, so the terms' own rounding is all the sum carries."""
+    terms = _ETA_WEIGHTS * _power(_ETA_BASES, -s)
+    eta = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    return eta, float(np.abs(terms).sum())
 
 
 def _expm1(w: complex) -> complex:
@@ -100,42 +112,30 @@ def _expm1(w: complex) -> complex:
 #: at 0.5+50i, 6e-4 at 1.5+80i) and riemann_zeta takes hurwitz_zeta(s, 1).
 _ETA_IMAG_MAX = 30.0
 
-#: Most terms riemann_zeta sums directly: from Re s of about 11 on, this
-#: many leave a tail below eps/4, for less than the eta sum's 48.
-_DIRECT_TERMS = 32
-
-
-def _direct_terms(sigma: float) -> int | None:
-    """The least N whose tail bound N^(1-sigma)/(sigma-1) (the integral
-    of x^-sigma past N) is at most eps/4, or None past _DIRECT_TERMS."""
-    if sigma <= 1.0:
-        return None
-    log_n = math.log((sigma - 1.0) * _EPS / 4.0) / (1.0 - sigma)
-    if log_n > math.log(_DIRECT_TERMS):
-        return None
-    return math.ceil(math.exp(log_n))
+#: Cancellation sum |terms| / |eta| past which riemann_zeta looks for an eta zero.
+_ETA_CANCELLATION = 64.0
 
 
 def riemann_zeta(s) -> complex:
-    """Riemann zeta as sum_{n<=N} n^-s where a few terms do (Re s above
-    about 11), else via the accelerated alternating series (Re s > 0), or
-    as hurwitz_zeta(s, 1) near the series' artefacts.
+    """Riemann zeta: for Re s > 0 the accelerated alternating series over
+    1 - 2^(1-s), or hurwitz_zeta(s, 1) where that quotient loses digits.
 
     Re s <= 0 is reached through the functional equation. s = 1 is a pole.
     """
     s = complex(s)
     if s == 1.0:
         raise PoleError("zeta has a simple pole at s = 1")
-    terms = _direct_terms(s.real)
-    if terms is not None:
-        # smallest terms first
-        return complex(_power(np.arange(float(terms), 0.0, -1.0), -s).sum())
     if s.real > 0.0:
-        denom = -_expm1((1.0 - s) * math.log(2.0))  # 1 - 2^(1-s), also near s = 1
-        if abs(denom) > 1e-3 and abs(s.imag) <= _ETA_IMAG_MAX:
-            return _eta_cvz(s) / denom
-        # The eta-zero neighbourhood (s = 1 + 2*pi*i*k/log 2), and large
-        # |Im s|: the Hurwitz continuation has neither artefact.
+        if abs(s.imag) <= _ETA_IMAG_MAX:
+            eta, size = _eta_cvz(s)
+            denom = -_expm1((1.0 - s) * math.log(2.0))  # 1 - 2^(1-s), also near s = 1
+            # Next to an eta zero, s = 1 + 2 pi i j / log 2 (j != 0), the sum
+            # cancels by more than the limit and zeta (size / |zeta|) by less
+            # than half of it: the quotient would amplify rounding that
+            # hurwitz_zeta lacks. Near s = 1 or a zero of zeta it is better.
+            limit = _ETA_CANCELLATION * abs(eta)
+            if size <= limit or 2.0 * size * abs(denom) > limit:
+                return eta / denom
         return hurwitz_zeta(s, 1.0)
     if s == 0.0:
         return complex(-0.5)

@@ -362,12 +362,15 @@ class TestExpansion:
             assert abs(a - ref[0]) <= tol and abs(b - ref[1]) <= tol
 
     @pytest.mark.parametrize(
-        "s", [1.05, 1.5 + 0.3j, 3.2 + 0.6j, 4.4 - 0.9j, 12.5, 2.5 + 20j, 3.0001, 1.999999, 2.001 + 0.001j]
+        "s",
+        [1.05, 1.5 + 0.3j, 3.2 + 0.6j, 4.4 - 0.9j, 12.5, 2.5 + 20j, 3.0001, 1.999999, 2.001 + 0.001j,
+         4.002 - 18.13j],
     )
     def test_stated_accuracy_and_table_errors(self, s):
         # riemann_zeta and gamma_complex within _stated_ulps at the (rounded)
         # arguments the table takes, and every table entry within its own
-        # bound of ζ(s − k)/k! at the exact s − k
+        # bound of ζ(s − k)/k! at the exact s − k; at 4.002 − 18.13i the
+        # entry k = 3 lies next to the eta zero 1 − 2πi·2/log 2
         mpmath = pytest.importorskip("mpmath")
         s = complex(s)
         eps = np.finfo(float).eps
@@ -387,6 +390,29 @@ class TestExpansion:
                 ref = mpmath.zeta(mpmath.mpc(w.real, w.imag))
                 assert close(riemann_zeta(w), ref, _stated_ulps(w) * abs(ref)), k
                 assert close(terms[k], mpmath.zeta(mp_s - k) / mpmath.factorial(k), ulps[k]), k
+
+    def test_table_rows_whatever_the_order_of_requests(self, monkeypatch):
+        # a table asked for 9, then 41, then 17 entries computes each entry
+        # once, in order, and its first 9 rows are those of a fresh table
+        # asked for 17 first, bit for bit: the last row always holds both
+        # of its entries
+        zeta, calls = cl.riemann_zeta, []
+
+        def spy(w):
+            calls.append(w)
+            return zeta(w)
+
+        monkeypatch.setattr(cl, "riemann_zeta", spy)
+        s = 3.7 + 0.4j
+        table = cl._ZetaTable(s)
+        for n in (9, 41, 17):
+            rows = table.columns(n)
+            assert len(rows) == (n + 1) // 2
+        assert calls == [s - k for k in range(42)]
+        assert np.array_equal(rows, cl._ZetaTable(s).columns(17))
+        # the entries unsigned, as the rows were built from them
+        terms, _ = table.terms(17)
+        assert terms.tolist() == [zeta(s - k) / math.factorial(k) for k in range(17)]
 
     def test_entries_next_to_trivial_zeros(self):
         # s − k for k > 2 Re s is rounded; next to a trivial zero of ζ that
@@ -435,6 +461,8 @@ class TestClausenBernoulli:
         for t in (0.1, 0.3, 0.45, 0.7, 0.9):
             x = TWO_PI * t
             closed = clausen_bernoulli(channel, order, x)
+            # a numpy integer order is the Python int's, bit for bit
+            assert clausen_bernoulli(channel, np.int64(order), x) == closed
             if order == 1:
                 ref = clausen_s1(x)
                 assert closed == pytest.approx(ref, abs=2e-9)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lirep
@@ -40,6 +41,8 @@ def test_against_classical_integral(n, z):
     ref = li_integral_classical(n, z, tol=1e-10)
     assert ref.converged
     assert inv.value == pytest.approx(ref.value, abs=1e-8)
+    # a numpy integer order is the Python int's, bit for bit
+    assert li_inversion_integer(np.int64(n), z, tol=1e-10) == inv
 
 
 @pytest.mark.parametrize("n", [171, 255])
@@ -48,6 +51,7 @@ def test_orders_past_factorial_overflow(n):
     # to binary64 at these orders
     z = -3.0 + 1.0j
     assert abs(li_inversion_integer(n, z).value - z) <= 1e-12
+    assert li_inversion_integer(np.int64(n), z) == li_inversion_integer(n, z)
 
 
 @pytest.mark.parametrize("z", [3.3124 - 1.0462j, 3.2796 - 1.0242j])
@@ -83,10 +87,11 @@ def test_domain():
         li_inversion_integer(-1, -3.0)
 
 
-@pytest.mark.parametrize("n", [BERNOULLI_CAP + 1, 10**400])
+@pytest.mark.parametrize("n", [BERNOULLI_CAP + 1, 10**400, np.int64(300)])
 def test_orders_past_the_cap_fail_at_once(n):
     # 10^400 overflowed complex() in the finiteness check: the cap comes
-    # first (2^70, which hung, is tried in a fresh interpreter below)
+    # first (2^70, which hung, is tried in a fresh interpreter below); a
+    # numpy integer order overflowed in int64 before the cap was checked
     with pytest.raises(ResourceLimitError, match="Bernoulli cap"):
         li_inversion_integer(n, 2j)
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -81,16 +82,33 @@ class TestRiemannZeta:
         assert riemann_zeta(s) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "s", [10.9, 10.9 - 3j, 11.5, 11.5 + 2j, 20.0, 20.0 + 3j, 60.0 - 1.5j, 127.0, 127.0 + 3j]
+        "s",
+        [10.9, 10.9 - 3j, 11.5, 11.5 + 2j, 20.0, 20.0 + 3j, 60.0 - 1.5j, 127.0, 127.0 + 3j,
+         1e-4, 0.3, 3.7, 0.5 + 29j, 10.9 + 3j],
     )
     def test_direct_sum_region(self, s):
-        # from Re s of about 11 on, a few terms of sum n^-s leave a tail
-        # below eps/4 and are summed directly; 10.9 sits just below that
+        # one weighted sum of the 48 terms k^-s serves all of Re s > 0 up
+        # to |Im s| = 30: from next to 0, where the sum cancels most, to
+        # Re s of 127, where its first term alone is zeta to binary64
         mpmath = pytest.importorskip("mpmath")
         s = complex(s)
         with mpmath.workdps(30):
             ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
         assert abs(riemann_zeta(s) - ref) <= _stated_ulps(s) * abs(ref) * np.finfo(float).eps
+
+    @pytest.mark.parametrize("distance", [1.1e-3, 5e-3, 2e-2])
+    @pytest.mark.parametrize("j", [1, -1, 2, -2])
+    def test_next_to_the_eta_zeros(self, j, distance):
+        # At s = 1 + 2 pi i j / log 2 both the eta sum and 1 - 2^(1-s)
+        # vanish, and their quotient amplifies the sum's rounding; the
+        # points lie where |1 - 2^(1-s)| = distance, on four sides
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        for side in (1, 1j, -1, -1j):
+            s = 1.0 + 2j * math.pi * j / math.log(2.0) - cmath.log(1.0 - distance * side) / math.log(2.0)
+            with mpmath.workdps(30):
+                ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+            assert abs(riemann_zeta(s) - ref) <= _stated_ulps(s) * abs(ref) * eps, s
 
     def test_negative_axis_continuation(self):
         # zeta(-1) = -1/12, zeta(0) = -1/2, trivial zeros at -2, -4

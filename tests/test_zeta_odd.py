@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lirep import DomainError, zeta_odd_cot, zeta_odd_tan
@@ -22,6 +23,8 @@ def test_cot_route_zeta3(delta):
 
 def test_cot_route_zeta5_half():
     assert zeta_odd_cot(2, 0.5) == pytest.approx(ZETA5, abs=1e-9)
+    # a numpy integer n is the Python int's, bit for bit
+    assert zeta_odd_cot(np.int64(2), 0.5) == zeta_odd_cot(2, 0.5)
 
 
 @pytest.mark.parametrize("delta", [1.0, 0.5])
