@@ -287,6 +287,16 @@ class TestLemmaCheck:
         assert captured.out == ""
         assert "tol must be positive" in captured.err
 
+    def test_too_close_to_the_circle_is_a_resource_limit(self, capsys):
+        # the half-period moment sum at |z| = 1 - 1e-7 is refused with the
+        # resource-limit code, not left to exhaust memory (an oracle failure
+        # would exit 1)
+        code = main(["lemma-check", "--n-max=1", "--z=0.9999999", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "moment sum needs more than" in captured.err
+
     def test_injected_sign_flip_detected(self, capsys, monkeypatch):
         import lirep.polylog as pl
 

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from lirep import DomainError, KernelKind, lemma_expected, lemma_integral
+import lirep.polylog as pl
+from lirep import DomainError, KernelKind, ResourceLimitError, lemma_expected, lemma_integral
 
 from oracles import lemma_half_interval_mixed
 
@@ -66,6 +67,25 @@ def test_mixed_channels_against_frozen_reference(n):
         assert series == pytest.approx(ref, abs=1e-12)
         oracle = lemma_half_interval_mixed(channel, kernel.value, n, Z_MIXED)
         assert oracle == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mixed_channels_summed_a_chunk_at_a_time(n, monkeypatch):
+    # chunks of 16 terms split the ~330 cross terms at |z| = 0.9 across
+    # many pieces; the sum must not lose or repeat a term at their seams
+    monkeypatch.setattr(pl, "_CHUNK", 16)
+    for channel, kernel in (("cos", KernelKind.SIN), ("sin", KernelKind.COS)):
+        got = lemma_expected(channel, kernel, n, Z_MIXED, 0.5)
+        oracle = lemma_half_interval_mixed(channel, kernel.value, n, Z_MIXED)
+        assert got == pytest.approx(oracle, abs=1e-13)
+
+
+@pytest.mark.parametrize("channel,kernel", [("cos", KernelKind.SIN), ("sin", KernelKind.COS)])
+def test_mixed_channel_too_close_to_the_circle_refused(channel, kernel):
+    # at |z| = 1 - 1e-7 the cross terms would number 4.8e8: refused before
+    # any array is built, not left to run out of memory
+    with pytest.raises(ResourceLimitError, match="moment sum needs more than"):
+        lemma_expected(channel, kernel, 1, 1.0 - 1e-7, 0.5)
 
 
 def test_mixed_channel_constant_term_at_zero_argument():
