@@ -23,8 +23,15 @@ import numpy as np
 
 from .bernoulli import bernoulli_poly
 from .errors import DomainError, ExclusionError, ResourceLimitError
-from .quadrature import _EPS
-from .special import _is_real_integer, _sin_pi, gamma_complex, hurwitz_zeta, riemann_zeta
+from .quadrature import _EPS, gauss_kronrod_panel
+from .special import (
+    _is_real_integer,
+    _sin_pi,
+    _zeta_scaled,
+    gamma_complex,
+    hurwitz_zeta,
+    riemann_zeta,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -187,7 +194,10 @@ class _ZetaTable:
     both entries, so no row depends on the lengths asked for before. And
     the pole pair Γ(1 − s) cos(πs/2), Γ(1 − s) sin(πs/2) of S and C, with
     the eps-multiples bounding the error of a pole term of size 1
-    (`pole_ulps`, plus `pole_log_ulps` times |log |y||)."""
+    (`pole_ulps`, plus `pole_log_ulps` times |log |y||). And
+    `pole_panel_error`, the estimate that the quadrature's panel rule
+    (gauss_kronrod_panel) gives for x^(s−1) on [0, 1]: on [0, h] a pole
+    term P x^(s−1) gets |P| h^(Re s) times it."""
 
     def __init__(self, s: complex):
         self.s = s
@@ -198,14 +208,17 @@ class _ZetaTable:
         # sums; the phase t log|y| of |y|^(s−1) carries |s − 1| |log |y|| eps
         self.pole_ulps = (_stated_ulps(1.0 - s) + _stated_ulps(s) + 4.0) * size
         self.pole_log_ulps = 2.0 * abs(s - 1.0) * size
+        self.pole_panel_error = gauss_kronrod_panel(lambda x: x ** (s - 1.0), 0.0, 1.0)[1]
         self._rows = np.empty((0, 8))
         self._lock = threading.Lock()
 
     def _entry(self, k: int) -> tuple[complex, float]:
         """(−1)^(k//2) ζ(s − k)/k!, and a bound on its error in units of eps."""
         w = self.s - k
-        zeta = riemann_zeta(w)
-        ulps = _stated_ulps(w) * abs(zeta)
+        zeta, scale = _zeta_scaled(w)
+        # in the critical strip zeta has zeros, next to which its rounding
+        # is relative to the alternating sum's terms, not to |zeta|
+        ulps = _stated_ulps(w) * (scale if 0.0 < w.real < 1.0 else abs(zeta))
         if abs(w.real) > self.s.real:
             # w is s − k rounded, by up to eps |w| / 2. The functional
             # equation gives ζ'(w) = ζ(w) [log 2π − ψ(1−w) − ζ'/ζ(1−w)]

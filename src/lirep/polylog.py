@@ -30,6 +30,7 @@ from .clausen import (
     _inverse_powers,
     _pair_cheapest,
     _two_pi_power_over_factorial,
+    _zeta_table,
 )
 from .errors import (
     DomainError,
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .quadrature import (
     _EPS,
+    _ROUND_SHARE,
     PANEL_SIZE,
     QuadratureResult,
     _check_tol,
@@ -186,25 +188,64 @@ def _node_cache(s: complex, tol: float) -> _NodeCache:
     return cache
 
 
-#: The kernel integrals start from this many equal panels of [0, delta].
+#: The kernel integrals start from 2^_START_DEPTH equal panels of [0, delta].
 #: Fewer leaves opening rounds that every request bisects in full; more
 #: splits panels that would have settled whole (mean evaluations per
 #: request at 1, 4, 8, 16 start panels: 343, 298, 276, 330 on the benchmark's
 #: kernel sweep, 493, 451, 414, 443 on its cold kernel requests).
-_START_PANELS = 8
+_START_DEPTH = 3
+_START_PANELS = 1 << _START_DEPTH
+#: The deepest graded cut is delta 2^-_MAX_DEPTH: 1 - 2^-52 is still exact.
+_MAX_DEPTH = 52
 
 
-def _kernel_breakpoints(z: complex, delta: float) -> tuple[float, ...]:
-    # delta is 1 or 1/2 and _START_PANELS a power of two, so each cut is
-    # exact and is a midpoint that bisecting [0, delta] reaches: a start
-    # panel has the nodes, and so the node-cache key, of a bisected panel.
+def _kernel_breakpoints(z: complex, delta: float, depth: int = _START_DEPTH) -> tuple[float, ...]:
+    """The start partition of the kernel integrals: the _START_PANELS equal
+    panels of [0, delta], graded cuts delta 2^-j for j = _START_DEPTH + 1 ..
+    depth toward t = 0 (and 1 - 2^-j toward t = 1 when delta = 1), and
+    the kernel's spike cuts when |z| > 0.95.
+
+    delta is 1 or 1/2 and every cut a dyadic fraction of it, so each is
+    exact and is a midpoint that bisecting [0, delta] reaches: a start
+    panel has the nodes, and so the node-cache key, of a bisected panel."""
     cuts = tuple(delta * j / _START_PANELS for j in range(1, _START_PANELS))
+    graded = tuple(delta * 0.5**j for j in range(_START_DEPTH + 1, depth + 1))
+    cuts += graded
+    if delta == 1.0:
+        cuts += tuple(1.0 - h for h in graded)
     # Close to the unit circle the kernels spike where |D| is minimal,
     # i.e. at t = +-arg(z)/2pi; bracket the spike with a panel boundary.
     if abs(z) <= 0.95:
         return cuts
     tstar = (cmath.phase(z) % TWO_PI) / TWO_PI
     return cuts + tuple(p for p in (tstar, 1.0 - tstar) if 0.0 < p < delta)
+
+
+def _graded_depth(s: complex, kind: KernelKind, z: complex, delta: float, qtol: float) -> int:
+    """The depth of _kernel_breakpoints' graded cuts for the Clausen weight
+    against `kind`, quadrature tolerance qtol.
+
+    Near t = 0, and t = 1 when delta = 1, the integrand carries the weight's
+    pole term P (2 pi t)^(s-1) K(z, 0), P from the order's table; on
+    [0, h] the panel rule estimates its error at c h^(Re s) with
+    c = |P| (2 pi)^(Re s - 1) |K(z, 0)| pole_panel_error. The depth is the
+    least j >= _START_DEPTH, at most _MAX_DEPTH, with c (delta 2^-j)^(Re s)
+    within _ROUND_SHARE qtol, so bisection need not reach the end a round
+    at a time. It is _START_DEPTH where c is zero or unknown: the SIN
+    kernel, which vanishes at t = 0, integer orders, where Γ(1 - s) has a
+    pole, and orders whose table overflows."""
+    if kind is KernelKind.SIN or _is_real_integer(s):
+        return _START_DEPTH
+    try:
+        table = _zeta_table(s)
+    except OverflowError:  # Γ(1 − s) or sin(πs/2) past binary64
+        return _START_DEPTH
+    at_zero = (1.0 + z if kind is KernelKind.COS else 2.0 * z) / (1.0 - z)
+    c = abs(table.pole[1]) * TWO_PI ** (s.real - 1.0) * abs(at_zero) * table.pole_panel_error
+    depth, h = _START_DEPTH, delta * 0.5**_START_DEPTH
+    while depth < _MAX_DEPTH and c * h**s.real > _ROUND_SHARE * qtol:
+        depth, h = depth + 1, 0.5 * h
+    return depth
 
 
 def _kernel_l1_bound(kind: KernelKind, z: complex) -> float:
@@ -256,9 +297,10 @@ def _variant_tag(variant: str, bernoulli: bool) -> RepresentationTag:
 def _theorem_route(s, z, delta: float, tol: float, tag: RepresentationTag) -> PolylogResult:
     """Li_s(z) = (1/delta) int_0^delta weight(2 pi t) * kernel(z, t) dt for
     the kernel tag `tag`, the weight a Clausen sum (Theorem 6) or a
-    Bernoulli polynomial (Theorem 7). The quadrature starts from the
-    _START_PANELS dyadic panels of [0, delta] and the spike cuts of
-    _kernel_breakpoints.
+    Bernoulli polynomial (Theorem 7). The quadrature starts from
+    _kernel_breakpoints: the _START_PANELS dyadic panels of [0, delta],
+    the spike cuts, and for the Clausen weight cuts graded toward its
+    singular ends to _graded_depth; the Bernoulli polynomials are smooth.
     """
     _check_tol(tol)
     _check_finite(s, z)
@@ -278,10 +320,13 @@ def _theorem_route(s, z, delta: float, tol: float, tag: RepresentationTag) -> Po
         # whose weight integral vanishes by the mean-value property.
         return PolylogResult(0.0 + 0.0j, 0.0, tag)
     wtol = tol / 10.0
+    qtol = 0.5 * tol * delta
+    depth = _START_DEPTH
     if closed_form:
         weight = _bernoulli_weight(int(s.real))
         weight_err = 0.0
     else:
+        depth = _graded_depth(s, kind, z, delta, qtol)
         cache = _node_cache(s, wtol)
         idx = 0 if channel == "sin" else 1
 
@@ -301,8 +346,8 @@ def _theorem_route(s, z, delta: float, tol: float, tag: RepresentationTag) -> Po
         integrand,
         0.0,
         delta,
-        tol=0.5 * tol * delta,
-        breakpoints=_kernel_breakpoints(z, delta),
+        tol=qtol,
+        breakpoints=_kernel_breakpoints(z, delta, depth),
     )
     value = q.value / delta
     return PolylogResult(
@@ -578,7 +623,8 @@ def lemma_integral(
     tol: float = 1e-11,
 ) -> complex:
     """int_0^delta {cos | sin}(2 pi n t) * kernel(z, t) dt by quadrature,
-    from the start panels of the theorem routes (_kernel_breakpoints)."""
+    from the start panels of the theorem routes (_kernel_breakpoints),
+    without graded cuts: the integrand is smooth at both ends."""
     _check_moment(channel, kind, n)
     z = complex(z)
     _check_disc(z)

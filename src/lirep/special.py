@@ -122,6 +122,14 @@ def riemann_zeta(s) -> complex:
 
     Re s <= 0 is reached through the functional equation. s = 1 is a pole.
     """
+    return _zeta_scaled(s)[0]
+
+
+def _zeta_scaled(s) -> tuple[complex, float]:
+    """riemann_zeta(s), and the size its rounding is relative to: on the
+    alternating series' path the sum of the moduli of its terms over
+    |1 - 2^(1-s)|, which stays put where zeta itself vanishes; on the
+    other paths |zeta(s)|."""
     s = complex(s)
     if s == 1.0:
         raise PoleError("zeta has a simple pole at s = 1")
@@ -135,17 +143,19 @@ def riemann_zeta(s) -> complex:
             # hurwitz_zeta lacks. Near s = 1 or a zero of zeta it is better.
             limit = _ETA_CANCELLATION * abs(eta)
             if size <= limit or 2.0 * size * abs(denom) > limit:
-                return eta / denom
-        return hurwitz_zeta(s, 1.0)
+                return eta / denom, size / abs(denom)
+        zeta = hurwitz_zeta(s, 1.0)
+        return zeta, abs(zeta)
     if s == 0.0:
-        return complex(-0.5)
-    return (
+        return complex(-0.5), 0.5
+    zeta = (
         2.0**s
         * math.pi ** (s - 1.0)
         * _sin_pi(0.5 * s)
         * gamma_complex(1.0 - s)
         * riemann_zeta(1.0 - s)
     )
+    return zeta, abs(zeta)
 
 
 #: Bernoulli corrections in the Euler-Maclaurin tail of hurwitz_zeta.

@@ -396,13 +396,13 @@ class TestExpansion:
         # once, in order, and its first 9 rows are those of a fresh table
         # asked for 17 first, bit for bit: the last row always holds both
         # of its entries
-        zeta, calls = cl.riemann_zeta, []
+        zeta, calls = cl._zeta_scaled, []
 
         def spy(w):
             calls.append(w)
             return zeta(w)
 
-        monkeypatch.setattr(cl, "riemann_zeta", spy)
+        monkeypatch.setattr(cl, "_zeta_scaled", spy)
         s = 3.7 + 0.4j
         table = cl._ZetaTable(s)
         for n in (9, 41, 17):
@@ -412,7 +412,7 @@ class TestExpansion:
         assert np.array_equal(rows, cl._ZetaTable(s).columns(17))
         # the entries unsigned, as the rows were built from them
         terms, _ = table.terms(17)
-        assert terms.tolist() == [zeta(s - k) / math.factorial(k) for k in range(17)]
+        assert terms.tolist() == [riemann_zeta(s - k) / math.factorial(k) for k in range(17)]
 
     def test_entries_next_to_trivial_zeros(self):
         # s − k for k > 2 Re s is rounded; next to a trivial zero of ζ that
@@ -427,6 +427,22 @@ class TestExpansion:
         assert rel > 1e-9
         for k in range(40):
             assert abs(terms[k] - complex(exact[k])) <= ulps[k] * np.finfo(float).eps, k
+
+
+    @pytest.mark.parametrize("s", [2.5 + 21.022039639j, 2.75, 3.25 + 0.75j, 3.00001, 3.7 + 0.2j])
+    def test_entries_in_the_critical_strip(self, s):
+        # an entry with 0 < Re(s − k) < 1 can sit next to a nontrivial zero
+        # of ζ: at 2.5 + 21.022039639i the entry k = 2 is off by 8.0e-16,
+        # which a bound relative to |ζ(s − k)| put at 5.8e-24
+        mpmath = pytest.importorskip("mpmath")
+        s = complex(s)
+        n = math.floor(s.real) + 1
+        terms, ulps = cl._ZetaTable(s).terms(n)
+        with mpmath.workdps(40):
+            mp_s = mpmath.mpc(s.real, s.imag)
+            exact = [complex(mpmath.zeta(mp_s - k) / mpmath.factorial(k)) for k in range(n)]
+        for k in range(n):
+            assert abs(terms[k] - exact[k]) <= ulps[k] * np.finfo(float).eps, k
 
 
 class TestClausenBernoulli:

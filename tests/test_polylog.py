@@ -473,7 +473,8 @@ class TestNodeCache:
 
 #: (tag, s, z, evaluations) of fixed requests at tol 1e-10. The theorem
 #: rows are counted with the kernel integrals starting from their eight
-#: dyadic panels; the classical rows as counted when the quadrature still
+#: dyadic panels, graded toward the Clausen weight's singular ends for the
+#: COS and ALT kernels; the classical rows as counted when the quadrature still
 #: bisected one panel at a time, which a round at a time may exceed by a
 #: few panels. More than 10% over a pin would be a regression.
 _PINNED_EVALUATIONS = [
@@ -483,18 +484,18 @@ _PINNED_EVALUATIONS = [
     ("theorem6a", 3.25 + 0.75j, 0.3, 180),
     ("theorem6a", 3.25 + 0.75j, 0.8, 540),
     ("theorem6a", 3.25 + 0.75j, 0.97, 870),
-    ("theorem6b", 2.75, 0.3, 480),
-    ("theorem6b", 2.75, 0.8, 780),
-    ("theorem6b", 2.75, 0.97, 1110),
-    ("theorem6b", 3.25 + 0.75j, 0.3, 360),
-    ("theorem6b", 3.25 + 0.75j, 0.8, 660),
-    ("theorem6b", 3.25 + 0.75j, 0.97, 990),
-    ("theorem6c", 2.75, 0.3, 480),
-    ("theorem6c", 2.75, 0.8, 780),
-    ("theorem6c", 2.75, 0.97, 1110),
-    ("theorem6c", 3.25 + 0.75j, 0.3, 360),
-    ("theorem6c", 3.25 + 0.75j, 0.8, 660),
-    ("theorem6c", 3.25 + 0.75j, 0.97, 990),
+    ("theorem6b", 2.75, 0.3, 330),
+    ("theorem6b", 2.75, 0.8, 630),
+    ("theorem6b", 2.75, 0.97, 960),
+    ("theorem6b", 3.25 + 0.75j, 0.3, 270),
+    ("theorem6b", 3.25 + 0.75j, 0.8, 570),
+    ("theorem6b", 3.25 + 0.75j, 0.97, 900),
+    ("theorem6c", 2.75, 0.3, 330),
+    ("theorem6c", 2.75, 0.8, 630),
+    ("theorem6c", 2.75, 0.97, 960),
+    ("theorem6c", 3.25 + 0.75j, 0.3, 270),
+    ("theorem6c", 3.25 + 0.75j, 0.8, 570),
+    ("theorem6c", 3.25 + 0.75j, 0.97, 900),
     ("classical-exp", 2.5, 0.8, 465),
     ("classical-exp", 0.4, 0.9j, 2715),
 ]
@@ -549,3 +550,92 @@ class TestEvaluationCounts:
             ref = float(mpmath.zeta(5))
         scale = abs(value / q.value.real)  # the prefactor of the integral
         assert abs(value - ref) <= scale * q.error_estimate + 8 * EPS
+
+
+class TestGradedStart:
+    """The Clausen-weight integrals against the COS and ALT kernels start
+    from cuts graded toward the weight's singular ends."""
+
+    @staticmethod
+    def _depths(monkeypatch):
+        # the depth each theorem route or lemma_integral hands _kernel_breakpoints
+        seen, breakpoints = [], pl._kernel_breakpoints
+
+        def spy(z, delta, depth=pl._START_DEPTH):
+            seen.append(depth)
+            return breakpoints(z, delta, depth)
+
+        monkeypatch.setattr(pl, "_kernel_breakpoints", spy)
+        return seen
+
+    @pytest.mark.parametrize("delta", [1.0, 0.5])
+    def test_graded_cuts_are_bisection_midpoints(self, delta):
+        # each graded cut is exact, and bisecting [0, delta] toward it, as
+        # integrate_adaptive bisects, lands on it as a midpoint
+        start = set(pl._kernel_breakpoints(0.5, delta))
+        graded = sorted(set(pl._kernel_breakpoints(0.5, delta, pl._MAX_DEPTH)) - start)
+        ends = 2 if delta == 1.0 else 1
+        assert len(graded) == ends * (pl._MAX_DEPTH - pl._START_DEPTH)
+        assert graded[-1] == (1.0 - 2.0**-52 if delta == 1.0 else delta / 16)
+        for cut in graded:
+            lo, hi = 0.0, delta
+            for _ in range(pl._MAX_DEPTH):
+                mid = 0.5 * (lo + hi)
+                if mid == cut:
+                    break
+                lo, hi = (lo, mid) if cut < mid else (mid, hi)
+            else:
+                pytest.fail(f"bisection never reaches {cut!r}")
+
+    @pytest.mark.parametrize("s,depth", [(2.75, 9), (3.00001, 6)])
+    def test_depth(self, monkeypatch, s, depth):
+        # near an integer order the pole coefficient grows like 1/|s - n|
+        # and the rule's estimate for x^(s-1) shrinks like |s - n|
+        seen = self._depths(monkeypatch)
+        li_eval(PolylogRequest(s=s, z=0.5, representation=RepresentationTag.THEOREM_6B, tol=1e-9))
+        assert seen == [depth]
+
+    def test_no_cuts_without_a_pole_term(self, monkeypatch):
+        # the SIN kernel vanishes at t = 0, the Bernoulli weights are
+        # polynomials, Γ(1 - s) has a pole at integer s, and the moment
+        # integrands are smooth
+        seen = self._depths(monkeypatch)
+        for tag, s in (("theorem6a", 2.75), ("theorem6a", 1.05), ("bernoulli7a", 3),
+                       ("bernoulli7b", 4), ("bernoulli7c", 4), ("theorem6b", 3), ("theorem6c", 3)):
+            li_eval(PolylogRequest(s=s, z=0.5, representation=RepresentationTag(tag), tol=1e-9))
+        pl.lemma_integral("cos", pl.KernelKind.COS, 2, 0.5)
+        assert seen == [pl._START_DEPTH] * 8
+        # an order whose Γ(1 - s) sin(πs/2) is past binary64
+        assert pl._graded_depth(2.5 + 500j, pl.KernelKind.COS, 0.5, 1.0, 5e-10) == pl._START_DEPTH
+
+    def test_one_call_settles_the_graded_start(self, monkeypatch):
+        # theorem6c at s = 2.75, z = 0.5 starts from 20 panels (the eight
+        # dyadic ones, cut at 2^-4 ... 2^-9 from each end) and settles on
+        # them in one integrand call, where eight panels took 6 calls and 420
+        # evaluations; the order's model panel for x^(s-1), one panel of
+        # scalar ends, is no kernel call
+        calls = []
+        panel = qd.gauss_kronrod_panel
+
+        def spy(f, a, b):
+            calls.append(np.shape(a))
+            return panel(f, a, b)
+
+        monkeypatch.setattr(qd, "gauss_kronrod_panel", spy)
+        res = li_eval(PolylogRequest(s=2.75, z=0.5, representation=RepresentationTag.THEOREM_6C, tol=1e-9))
+        assert res.converged
+        assert res.quadrature.evaluations == 300
+        assert [shape for shape in calls if shape] == [(20,)]
+        ref, ref_err = _li_reference(2.75, 0.5)
+        assert abs(res.value - ref) <= res.error_estimate + ref_err
+
+    @pytest.mark.parametrize("tag", ["theorem6b", "theorem6c"])
+    @pytest.mark.parametrize("s", [1.05, 1.5, 1.7 + 0.5j, 2.5 + 20j])
+    def test_graded_routes_within_their_estimates(self, tag, s):
+        for z in (0.5, -0.9, 0.97):
+            ref, ref_err = _li_reference(s, z)
+            for delta in (1.0, 0.5):
+                req = PolylogRequest(s=s, z=z, representation=RepresentationTag(tag), delta=delta, tol=1e-9)
+                res = li_eval(req)
+                assert res.converged, (z, delta)
+                assert abs(res.value - ref) <= res.error_estimate + ref_err, (z, delta)
